@@ -221,8 +221,8 @@ def measure_allocations(spec, state, samples: np.ndarray) -> dict:
             for index in range(len(requests)):
                 np.copyto(view[index], requests[index])
             batch = request_ring.read(frame)
-            arena.serve(compiled, batch, False, 0,
-                        list(range(len(batch))), 0.0, responses)
+            arena.serve(compiled, batch, 0, list(range(len(batch))), 0.0,
+                        responses)
             request_ring.release(slot, seq)
             _, _, _, (via, out_frame), _ = responses.get()
             assert via == "shm", "response fell off the ring path"

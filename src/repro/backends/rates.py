@@ -153,8 +153,8 @@ def _probe_conv(backend, budget_s: float) -> float:
     lowering shared by three projection weight sets, then a fused
     element-wise combine — and the stages shrink spatially (16² → 8² → 4²)
     with growing channel counts, like a backbone after pooling.  The probe
-    runs at **batch 1** because that is what serving executes: the pool's
-    default is exact mode (every request is its own batch-of-1 forward),
+    runs at **batch 1** because that is what serving executes: the pool
+    always runs exact mode (every request is its own batch-of-1 forward),
     so the sustained rate must include the per-step overheads a single
     sample cannot amortize.  MACs are counted exactly as
     :func:`repro.profiler.profile_model` counts a quadratic conv

@@ -22,9 +22,9 @@ Service time of one request in a coalesced batch of ``B``::
     S(B) = compute + copy + dispatch + (ipc per batch) / B
 
 ``compute`` prices the request's MAC/op counts with the measured kernel
-slopes.  The pool's default execution is *exact mode* (every request runs
-as its own batch-of-1 forward — see ``ServeConfig.fused_batching``), so
-compute and per-step dispatch do **not** amortize with batching; only the
+slopes.  The pool always executes in *exact mode* (every request runs as
+its own batch-of-1 forward — see :class:`repro.serve.worker.ResponseArena`),
+so compute and per-step dispatch do **not** amortize with batching; only the
 per-batch control traffic (queue round trips) does.  The expected batch
 size under Poisson arrivals at rate λ with coalescing window ``w`` is
 ``B = 1 + λ·w`` (the opener plus the arrivals that land inside its

@@ -527,9 +527,7 @@ def _serve_config(args: argparse.Namespace):
                            max_batch_size=args.max_batch_size, max_wait=args.max_wait,
                            queue_depth=args.queue_depth, watermark=args.watermark,
                            cache_size=args.cache_size, backend=args.backend,
-                           transport=args.transport,
                            latency_budget_ms=args.latency_budget_ms,
-                           fused_batching=args.fused_batching,
                            secure=args.secure,
                            protocol=args.protocol or "",
                            frac_bits=args.frac_bits,
@@ -1111,18 +1109,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", default="numpy",
                        help="compute backend each worker compiles with: "
                             f"{', '.join(BACKEND_CHOICES)} (see 'repro list backends')")
-    serve.add_argument("--transport", default="shm", choices=("shm", "pipe"),
-                       help="tensor transport to the workers: zero-copy "
-                            "shared-memory rings (default) or pickled pipes "
-                            "(the bit-identical reference path)")
     serve.add_argument("--latency-budget-ms", type=float, default=0.0,
                        help="admission control: shed requests (HTTP 429 + "
                             "Retry-After) whose estimated queue wait exceeds "
                             "this budget (0 disables)")
-    serve.add_argument("--fused-batching", action="store_true",
-                       help="run each coalesced batch as one fused forward "
-                            "(max throughput; trades away bit-identity with "
-                            "the batch-of-1 reference)")
     serve.add_argument("--secure", action="store_true",
                        help="serve int64 fixed-point PPML inference: workers host "
                             "SecurePredictors, a traced warm-up sizes the offline "

@@ -269,8 +269,22 @@ class SecureCompiledModel:
         self.last_trace = trace
         return decode(np.array(q, copy=True), self.fmt.frac_bits), trace
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.run(x)
+    def __call__(self, x: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Run :meth:`run` and return the decoded output only.
+
+        ``out``, when given, receives the result in place (shapes must
+        match) and is returned — the contract of
+        :meth:`repro.inference.CompiledModel.__call__`, so a serving worker
+        drives float and secure models through one executor.
+        """
+        result, _ = self.run(x)
+        if out is None:
+            return result
+        if out.shape != result.shape:
+            raise ValueError(
+                f"out has shape {out.shape}, forward produced {result.shape}")
+        np.copyto(out, result, casting="same_kind")
         return out
 
     def estimate(self, protocol: Union[str, Protocol, None] = None) -> SecureCostEstimate:

@@ -7,8 +7,8 @@ and weights it receives over IPC and compiles it), with:
 
 * a **zero-copy transport** — per-worker shared-memory ring buffers
   (:mod:`repro.serve.shm`) carry the tensors; only ~100-byte control frames
-  are pickled.  The ``pipe`` transport (tensors pickled through the queues)
-  is kept as the bit-identical reference path.
+  are pickled.  A frame that does not fit a slot travels inline through the
+  queues instead, with the same bits.
 * **continuous cross-request batching** (:mod:`repro.serve.batching`) — one
   pool-wide FIFO backlog; batches are cut for whichever worker has capacity,
   growing with load instead of waiting on a timer.

@@ -215,5 +215,5 @@ class Batch:
         return len(self.requests)
 
     def __repr__(self) -> str:
-        via = "shm" if self.slot is not None else "pipe"
+        via = "shm" if self.slot is not None else "inline"
         return f"Batch(#{self.batch_id}, {len(self.requests)} requests, {via})"

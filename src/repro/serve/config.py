@@ -20,13 +20,6 @@ from typing import Any, Dict
 #: cost of re-importing the library in each worker (~0.5 s).
 START_METHODS = ("spawn", "fork", "forkserver")
 
-#: Tensor transports between the pool and its workers.  ``shm`` moves tensor
-#: bytes through per-worker shared-memory rings (zero-copy on the consumer
-#: side; pickle only for small control frames) and is the default; ``pipe``
-#: pickles tensors through the queues and is kept as the bit-identical
-#: reference path every shm behavior is tested against.
-TRANSPORTS = ("shm", "pipe")
-
 
 @dataclass
 class ServeConfig:
@@ -35,10 +28,14 @@ class ServeConfig:
     Parameters
     ----------
     workers : int
-        Worker processes in the pool.  Each runs its own compiled model and
-        micro-batching predictor, so throughput scales with cores.
-    max_batch_size, max_wait :
-        Forwarded to each worker's :class:`~repro.inference.BatchedPredictor`.
+        Worker processes in the pool.  Each rebuilds and compiles its own
+        model, so throughput scales with cores.
+    max_batch_size : int
+        Largest batch the pool cuts from its backlog for one worker.
+    max_wait : float
+        Coalescing window (seconds) the capacity planner
+        (:meth:`~repro.experiment.Experiment.plan`) assumes.  The pool's
+        continuous batcher itself never waits on a timer.
     queue_depth : int
         Bound of each worker's request queue.  A full queue is backpressure:
         the dispatcher refuses the request instead of buffering unboundedly.
@@ -65,20 +62,10 @@ class ServeConfig:
         :mod:`repro.backends` registry name: ``numpy``, ``threaded``,
         ``int8``).  The default is the reference engine; ``threaded`` makes
         each worker use every core, so pair it with a small ``workers``.
-    transport : str
-        How tensors reach the workers: ``shm`` (zero-copy shared-memory
-        rings, the default) or ``pipe`` (pickled over the queues — the
-        reference path; see :data:`TRANSPORTS`).
     latency_budget_ms : float
         Admission-control budget: reject a request (HTTP ``429`` with
         ``Retry-After``) when its estimated queue wait exceeds this many
         milliseconds.  ``0`` disables admission control.
-    fused_batching : bool
-        ``False`` (default) executes each request of a coalesced batch as
-        its own batch-of-1 forward — bit-identical to
-        ``Experiment.predictor(max_batch_size=1)`` under any load.  ``True``
-        fuses the whole batch into one forward for maximum throughput, at
-        the cost of BLAS float-associativity drift between batch sizes.
     shm_slots, shm_slot_bytes : int
         Geometry of each worker's shared-memory rings.  ``0`` (default)
         sizes them automatically: enough slots for the dispatch pipeline,
@@ -88,8 +75,7 @@ class ServeConfig:
         (:mod:`repro.ppml.runtime`) instead of the float path.  Workers
         host a :class:`~repro.ppml.SecurePredictor`, a warm-up traced
         forward sizes the offline triple pools, and every request debits
-        them.  Incompatible with ``fused_batching``: secure serving answers
-        per-sample client queries by protocol convention.
+        them.
     protocol : str
         Hybrid protocol the secure trace is costed under (``delphi``,
         ``gazelle``, ``cryptonets``).  ``""`` (default) defers to the
@@ -140,9 +126,7 @@ class ServeConfig:
     port: int = 8100
     cache_size: int = 256
     backend: str = "numpy"
-    transport: str = "shm"
     latency_budget_ms: float = 0.0
-    fused_batching: bool = False
     shm_slots: int = 0
     shm_slot_bytes: int = 0
     secure: bool = False
@@ -178,9 +162,6 @@ class ServeConfig:
         if self.start_method not in START_METHODS:
             raise ValueError(
                 f"start_method must be one of {START_METHODS}, got '{self.start_method}'")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got '{self.transport}'")
         if self.latency_budget_ms < 0:
             raise ValueError(f"latency_budget_ms must be >= 0 (0 = disabled), "
                              f"got {self.latency_budget_ms}")
@@ -232,11 +213,6 @@ class ServeConfig:
         if self.producer_workers < 0:
             raise ValueError(f"producer_workers must be >= 0 (0 = thread), "
                              f"got {self.producer_workers}")
-        if self.secure and self.fused_batching:
-            raise ValueError(
-                "secure serving is incompatible with fused_batching: PPML "
-                "protocols answer per-sample client queries (which is also the "
-                "trace accounting convention)")
 
     @property
     def effective_watermark(self) -> int:

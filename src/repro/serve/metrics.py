@@ -228,9 +228,8 @@ class StageClock:
 def split_batch_timings(compute_ms: Optional[List[float]], size: int) -> List[float]:
     """Per-request compute times for a batch, tolerant of lossy workers.
 
-    Workers report one compute duration per request (exact mode) or a single
-    fused duration (fused mode); either way every request in the batch gets
-    a number.
+    Workers report one compute duration per request; a frame that carries
+    another count (or none) still gives every request a share.
     """
     if not compute_ms:
         return [0.0] * size

@@ -220,7 +220,7 @@ MAX_EARLY_CRASHES = 3
 #: the *maximum* adaptive pipeline depth, or a dispatch burst could stall on
 #: RingFull exactly when the controller ramps up), and slots of 1 MiB —
 #: comfortably a max_batch_size batch of any smoke-scale input; bigger
-#: tensors transparently fall back to the inline (pipe) path.
+#: tensors transparently fall back to the inline path.
 _AUTO_SLOT_BYTES = 1 << 20
 
 
@@ -378,8 +378,6 @@ class WorkerPool:
         the transport to inline frames over the queues instead of killing the
         pool — the wire protocol is identical, only slower.
         """
-        if self.config.transport != "shm":
-            return None
         rings = self._rings.get(worker_id)
         if rings is None:
             slots = self.config.shm_slots or ring_slots(
@@ -1075,8 +1073,6 @@ class WorkerPool:
                 "rejected_saturated": self.rejected_saturated,
                 "rejected_budget": self.rejected_budget,
                 "transport": {
-                    "kind": self.config.transport,
-                    "fused_batching": self.config.fused_batching,
                     "inline_dispatches": self.inline_dispatches,
                     "inline_responses": self.inline_responses,
                     "assembly_fallbacks": self.assembly_fallbacks,

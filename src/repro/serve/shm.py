@@ -1,7 +1,7 @@
 """Zero-copy tensor transport: slot-leased rings over POSIX shared memory.
 
-The pipe transport pickles every tensor through a ``multiprocessing.Queue`` —
-one serialize, one kernel copy, one deserialize per hop.  This module moves
+Pickling a tensor through a ``multiprocessing.Queue`` costs one serialize,
+one kernel copy and one deserialize per hop.  This module moves
 the *bytes* through a :class:`multiprocessing.shared_memory.SharedMemory`
 segment instead: the producer copies a tensor into a leased slot exactly
 once, and the consumer maps the same physical pages as a NumPy view — no
@@ -92,7 +92,7 @@ class ShmRing:
     ----------
     slots, slot_bytes : int
         Geometry of the ring.  ``slot_bytes`` bounds the largest tensor one
-        frame can carry; bigger payloads must fall back to the pipe path.
+        frame can carry; bigger payloads must fall back to the inline path.
     name : str, optional
         Attach to an existing segment (the worker side) instead of creating
         one.  Geometry is not stored in the segment — both sides receive it

@@ -9,28 +9,28 @@ and the compiled path is deterministic, any worker answers any request with
 the same bits.
 
 Wire protocol (control frames are picklable tuples; tensor payloads travel
-either inline or through the worker's shared-memory rings):
+through the worker's shared-memory rings, or inline when they cannot):
 
 * parent → worker::
 
       ("batch", batch_id, [request_ids], payload[, meta])   # the data plane
-      ("predict", request_id, sample)               # legacy single-sample
       ("sleep", request_id, seconds)                # drain tests, warm-up
       None                                          # drain and exit
 
   where ``payload`` is ``("shm", ShmFrame)`` — the stacked float32 batch is
-  parked in the request ring — or ``("inline", ndarray)`` for the pipe
-  transport and for tensors that outgrew a slot.  The optional fifth
-  element ``meta`` only appears on secure pools: ``None`` for the default
-  secure configuration, or ``{"protocol", "frac_bits", "truncation"}`` for
-  a per-request override (the worker compiles that variant lazily).
+  parked in the request ring — or ``("inline", ndarray)`` when the batch
+  outgrew a slot, the ring was full, or the pool has no rings (shared
+  memory unavailable).  The optional fifth element ``meta`` only appears on
+  secure pools: ``None`` for the default secure configuration, or
+  ``{"protocol", "frac_bits", "truncation"}`` for a per-request override
+  (the worker compiles that variant lazily).
 
 * worker → parent::
 
       ("ready", worker_id, pid)                     # serving can begin
       ("okb", batch_id, [request_ids], payload, timings)
       ("errb", batch_id, [request_ids], message)
-      ("ok", request_id, output) / ("err", request_id, message)
+      ("ok", request_id, None) / ("err", request_id, message)   # sleep
       ("bye", worker_id)
 
   ``timings`` is ``{"read_ms": float, "compute_ms": [per-request floats]}``
@@ -39,10 +39,11 @@ either inline or through the worker's shared-memory rings):
   ``"secure"`` key: one ``ProtocolTrace.totals()`` dict per request, which
   is how per-request protocol accounting reaches ``GET /stats``.
 
-Batch execution honors the pool's bit-exactness contract: by default every
-request in a frame runs as its own batch-of-1 forward (identical bits to
-``Experiment.predictor(max_batch_size=1)`` no matter how requests were
-coalesced); ``fused_batching`` trades that for one fused forward per frame.
+Every batch frame, float or secure, runs through one executor —
+:meth:`ResponseArena.serve` — which runs each request as its own batch-of-1
+forward, so an answer carries the same bits as
+``Experiment.predictor(max_batch_size=1)`` (or
+``Experiment.secure_predictor()``) however requests were coalesced.
 """
 
 from __future__ import annotations
@@ -53,14 +54,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .shm import RingFull, WorkerRings
+
 #: Message kinds a worker understands.
-REQUEST_KINDS = ("batch", "predict", "sleep")
+REQUEST_KINDS = ("batch", "sleep")
 
 
-def execute_request(predictor, kind: str, payload: Any, timeout: float) -> Any:
-    """Run one already-parsed single-request frame on this worker's predictor."""
-    if kind == "predict":
-        return predictor.predict(np.asarray(payload, dtype=np.float32), timeout=timeout)
+def execute_request(kind: str, payload: Any) -> None:
+    """Run one control frame (any kind but ``"batch"``) on this worker."""
     if kind == "sleep":
         time.sleep(float(payload))
         return None
@@ -119,63 +120,31 @@ def build_serving_predictor(spec_dict: Dict[str, Any], state: Dict[str, np.ndarr
                             max_wait=max_wait, backend=backend)
 
 
-def run_batch(compiled, batch: np.ndarray,
-              fused: bool) -> Tuple[np.ndarray, List[float], Optional[List[Dict[str, int]]]]:
-    """Execute one stacked batch; returns (outputs, per-request compute ms,
-    per-request secure totals — or ``None`` on the float path).
-
-    ``fused=False`` runs each sample as its own batch-of-1 forward — the
-    exact compute path of ``BatchedPredictor`` serving one sample, so the
-    answer is bit-identical regardless of how the pool coalesced requests.
-    ``fused=True`` runs the whole stack in one forward (maximum throughput;
-    float-associativity drift between batch sizes, as documented on
-    ``BatchedPredictor``).
-
-    When ``compiled`` is a :class:`~repro.ppml.SecureCompiledModel`, each
-    batch-of-1 forward leaves its measured ``ProtocolTrace`` on
-    ``last_trace``; the totals are collected per request so the pool can
-    account for the offline material every answer consumed.  (Secure pools
-    never fuse — ``ServeConfig`` rejects the combination.)
-    """
-    with np.errstate(all="ignore"):          # serving tolerates non-finite
-        if fused:
-            clock = time.perf_counter()
-            outputs = compiled(batch)
-            elapsed_ms = (time.perf_counter() - clock) * 1000.0
-            return outputs, [elapsed_ms / len(batch)] * len(batch), None
-        rows = []
-        timings = []
-        secure_totals: List[Dict[str, int]] = []
-        for index in range(len(batch)):
-            clock = time.perf_counter()
-            rows.append(compiled(batch[index:index + 1]))
-            timings.append((time.perf_counter() - clock) * 1000.0)
-            trace = getattr(compiled, "last_trace", None)
-            if trace is not None:
-                secure_totals.append(trace.totals())
-        return (np.concatenate(rows, axis=0), timings,
-                secure_totals if secure_totals else None)
-
-
 class ResponseArena:
-    """Per-worker reusable output storage — the allocation-free answer path.
+    """A worker's batch executor and its reusable output storage.
 
-    A warm float worker should not touch the heap per batch: request rows
-    arrive as views on the request ring, and this arena gives the compiled
-    model somewhere persistent to put the answers.  Preferred storage is a
-    leased **response-ring slot** (``ShmRing.assemble``): each per-request
-    forward runs with ``out=`` straight into its row of the slot, so the
-    response is ready to ship the moment the last row lands — zero copies,
-    zero allocations.  When the ring is full (parent stalled) the rows land
-    in a pooled arena buffer instead (:class:`~repro.inference.buffers.
-    BufferPool`, the PR-6 machinery — one allocation ever per output
-    geometry), and the respond step retries the ring with a copy.
+    Every batch frame a worker receives runs through :meth:`serve`.  Each
+    request row runs as its own batch-of-1 forward with ``out=`` pointing at
+    that row of the response — the compute path of a predictor serving one
+    sample, so an answer does not depend on how the pool coalesced requests.
+    Float models (:class:`~repro.inference.CompiledModel`) and secure models
+    (:class:`~repro.ppml.SecureCompiledModel`) share that call contract; a
+    secure model also leaves each forward's measured ``ProtocolTrace`` on
+    ``last_trace``, and its totals ride the timings frame so the pool can
+    account for the offline material every answer consumed.
 
-    The output row geometry for an input row shape is discovered on the
-    first batch (one ordinary allocating forward) and cached; every later
-    batch of that shape is served without asking the heap.  Secure batches
-    never come here — their compiled models trace protocol rounds and do
-    not take ``out=``.
+    Preferred storage is a leased **response-ring slot**
+    (``ShmRing.assemble``): the response is ready to ship the moment the
+    last row lands — zero copies, and on the float path zero heap
+    allocations.  When the ring is full (parent stalled) or the batch
+    outgrew a slot, the rows land in a pooled arena buffer instead
+    (:class:`~repro.inference.buffers.BufferPool` — one allocation ever per
+    output geometry) and the respond step retries the ring with a copy.
+
+    The output row geometry of each (model, input row shape) pair is
+    discovered on its first batch — one ordinary allocating forward, kept
+    as row 0 of that batch — and cached; every later batch of that shape is
+    served without asking the heap.
     """
 
     __slots__ = ("ring", "pool", "_row_geometry")
@@ -185,86 +154,94 @@ class ResponseArena:
 
         self.ring = ring
         self.pool = BufferPool()
-        #: input row (shape, dtype) -> output row (shape, dtype)
+        #: (id(model), input row shape, dtype) -> output row (shape, dtype)
         self._row_geometry: Dict[tuple, Tuple[tuple, np.dtype]] = {}
 
-    def serve(self, compiled, batch: np.ndarray, fused: bool, batch_id: int,
+    def serve(self, compiled, batch: np.ndarray, batch_id: int,
               request_ids, read_ms: float, response_queue) -> None:
-        """Execute one float batch into arena storage and ship the answer.
+        """Execute one batch into arena storage and ship the answer.
 
-        Raises like :func:`run_batch` would — the caller turns any failure
-        into an ``errb`` frame; a response slot leased before the failure is
+        Raises when a forward fails — the caller turns that into an
+        ``errb`` frame; a response slot leased before the failure is
         released here first.
         """
-        n = len(batch)
-        key = (batch.shape[1:], str(batch.dtype))
-        first = None
-        first_ms = 0.0
-        geometry = self._row_geometry.get(key)
-        if geometry is None:
-            # Cold path: one ordinary forward discovers the output row
-            # geometry (and is kept — row 0 of this very batch).
-            with np.errstate(all="ignore"):
-                clock = time.perf_counter()
-                first = compiled(batch[0:1])
-                first_ms = (time.perf_counter() - clock) * 1000.0
-            geometry = (tuple(first.shape[1:]), first.dtype)
-            self._row_geometry[key] = geometry
-        row_shape, dtype = geometry
-        out_shape = (n,) + row_shape
-        slot = seq = None
-        view = out_frame = None
-        if self.ring is not None:
+        timings: List[float] = []
+        traces: Optional[List[Dict[str, int]]] = (
+            [] if hasattr(compiled, "last_trace") else None)
+        key = (id(compiled), batch.shape[1:], str(batch.dtype))
+        with np.errstate(all="ignore"):          # serving tolerates non-finite
+            first = None
+            geometry = self._row_geometry.get(key)
+            if geometry is None:
+                first = _forward(compiled, batch[0:1], None, timings, traces)
+                geometry = (tuple(first.shape[1:]), first.dtype)
+                self._row_geometry[key] = geometry
+            out_shape = (len(batch),) + geometry[0]
+            leased = self._lease(out_shape, geometry[1])
+            if leased is None:
+                leased = (self.pool.get("response", out_shape, geometry[1]), None)
+            view, frame = leased
             try:
-                slot, seq = self.ring.lease()
-                view, out_frame = self.ring.assemble(slot, seq, out_shape, dtype)
-            except Exception:
-                # Ring full or the batch outgrew a slot — arena buffer below.
-                if slot is not None:
+                start = 0
+                if first is not None:
+                    np.copyto(view[0:1], first, casting="same_kind")
+                    start = 1
+                for index in range(start, len(batch)):
+                    _forward(compiled, batch[index:index + 1],
+                             view[index:index + 1], timings, traces)
+            except BaseException:
+                if frame is not None:
                     try:
-                        self.ring.release(slot, seq)
-                    except Exception:
+                        self.ring.release(frame.slot, frame.seq)
+                    except RuntimeError:   # reclaimed: the parent gave up on us
                         pass
-                view = out_frame = None
-        if view is None:
-            view = self.pool.get("response", out_shape, dtype)
+                raise
+        payload_timings: Dict[str, Any] = {"read_ms": read_ms,
+                                           "compute_ms": timings}
+        if traces is not None:
+            payload_timings["secure"] = traces
+        if frame is None:
+            # Arena-buffer fallback: retry the ring now (a slot may have
+            # freed during the forwards); failing that, ship a *copy* inline
+            # — the queue's feeder thread pickles after put() returns, by
+            # which time the next batch may have overwritten the buffer.
+            leased = self._lease(out_shape, geometry[1])
+            if leased is None:
+                response_queue.put(("okb", batch_id, request_ids,
+                                    ("inline", np.array(view)), payload_timings))
+                return
+            np.copyto(leased[0], view)
+            frame = leased[1]
+        response_queue.put(("okb", batch_id, request_ids, ("shm", frame),
+                            payload_timings))
+
+    def _lease(self, shape: tuple, dtype) -> Optional[Tuple[np.ndarray, Any]]:
+        """A writable response-ring view plus its frame, or ``None`` when
+        there is no ring, the ring is full, or ``shape`` outgrows a slot."""
+        if self.ring is None:
+            return None
         try:
-            timings: List[float] = []
-            with np.errstate(all="ignore"):
-                if fused:
-                    clock = time.perf_counter()
-                    compiled(batch, out=view)
-                    timings = [(time.perf_counter() - clock) * 1000.0 / n] * n
-                else:
-                    start = 0
-                    if first is not None:
-                        np.copyto(view[0:1], first, casting="same_kind")
-                        timings.append(first_ms)
-                        start = 1
-                    for index in range(start, n):
-                        clock = time.perf_counter()
-                        compiled(batch[index:index + 1],
-                                 out=view[index:index + 1])
-                        timings.append((time.perf_counter() - clock) * 1000.0)
-        except BaseException:
-            if out_frame is not None:
-                try:
-                    self.ring.release(slot, seq)
-                except Exception:
-                    pass
-            raise
-        payload_timings = {"read_ms": read_ms, "compute_ms": timings}
-        if out_frame is not None:
-            response_queue.put(("okb", batch_id, request_ids,
-                                ("shm", out_frame), payload_timings))
-            return
-        # Arena-buffer fallback: retry the ring at respond time (write()
-        # copies the rows in — still allocation-free), and if even that
-        # fails the inline path must *copy*: the queue's feeder thread
-        # pickles asynchronously, and the pooled buffer will be overwritten
-        # by the next batch.
-        _respond_batch(response_queue, self.ring, batch_id, request_ids,
-                       view, payload_timings, copy_inline=True)
+            slot, seq = self.ring.lease()
+        except RingFull:
+            return None
+        try:
+            return self.ring.assemble(slot, seq, shape, dtype)
+        except ValueError:                       # the batch outgrew a slot
+            self.ring.release(slot, seq)
+            return None
+
+
+def _forward(compiled, row: np.ndarray, out: Optional[np.ndarray],
+             timings: List[float],
+             traces: Optional[List[Dict[str, int]]]) -> np.ndarray:
+    """One timed batch-of-1 forward; records its compute time and, for a
+    secure model, its protocol totals."""
+    clock = time.perf_counter()
+    result = compiled(row, out=out)
+    timings.append((time.perf_counter() - clock) * 1000.0)
+    if traces is not None:
+        traces.append(compiled.last_trace.totals())
+    return result
 
 
 def _batch_tensor(payload, request_ring) -> Tuple[np.ndarray, Optional[Any]]:
@@ -275,32 +252,6 @@ def _batch_tensor(payload, request_ring) -> Tuple[np.ndarray, Optional[Any]]:
             raise RuntimeError("received a shm frame but this worker has no rings")
         return request_ring.read(data), data
     return np.asarray(data, dtype=np.float32), None
-
-
-def _respond_batch(response_queue, response_ring, batch_id, request_ids,
-                   outputs: np.ndarray, timings: Dict[str, Any],
-                   copy_inline: bool = False) -> None:
-    """Ship a batch result back, through the response ring when it fits.
-
-    ``copy_inline=True`` marks ``outputs`` as living in reused storage (a
-    pooled arena buffer): the inline fallback then snapshots it first,
-    because ``Queue.put`` pickles on a feeder thread *after* this returns —
-    by which time the next batch may have overwritten the buffer.
-    """
-    if response_ring is not None:
-        try:
-            slot, seq = response_ring.lease()
-            frame = response_ring.write(slot, seq, outputs)
-            response_queue.put(("okb", batch_id, request_ids,
-                                ("shm", frame), timings))
-            return
-        except Exception:
-            # Ring full (parent stalled) or tensor outgrew the slot — the
-            # inline path is always available, just not zero-copy.
-            pass
-    if copy_inline:
-        outputs = np.array(outputs)
-    response_queue.put(("okb", batch_id, request_ids, ("inline", outputs), timings))
 
 
 def _resolve_compiled(predictor, meta: Optional[Dict[str, Any]]):
@@ -317,15 +268,9 @@ def _resolve_compiled(predictor, meta: Optional[Dict[str, Any]]):
                              truncation=meta.get("truncation"))
 
 
-def _serve_batch(predictor, message, request_ring, response_ring,
-                 response_queue, fused: bool,
-                 arena: Optional[ResponseArena] = None) -> None:
-    """Answer one ("batch", ...) frame, isolating failures to its requests.
-
-    Float batches take the arena's allocation-free path when one is given;
-    secure batches (their compiled models trace protocol rounds and take no
-    ``out=``) keep the classic allocate-and-copy :func:`run_batch` path.
-    """
+def _serve_batch(predictor, message, request_ring, arena: ResponseArena,
+                 response_queue) -> None:
+    """Answer one ("batch", ...) frame, isolating failures to its requests."""
     _, batch_id, request_ids, payload = message[:4]
     meta = message[4] if len(message) > 4 else None
     frame = None
@@ -334,26 +279,17 @@ def _serve_batch(predictor, message, request_ring, response_ring,
         compiled = _resolve_compiled(predictor, meta)
         batch, frame = _batch_tensor(payload, request_ring)
         read_ms = (time.perf_counter() - clock) * 1000.0
-        if arena is not None and not hasattr(compiled, "last_trace"):
-            arena.serve(compiled, batch, fused, batch_id, request_ids,
-                        read_ms, response_queue)
-            return
-        outputs, compute_ms, secure_totals = run_batch(compiled, batch, fused)
+        arena.serve(compiled, batch, batch_id, request_ids, read_ms,
+                    response_queue)
     except BaseException as error:  # noqa: BLE001 — must answer the callers
         response_queue.put(("errb", batch_id, request_ids,
                             f"{type(error).__name__}: {error}"))
-        return
     finally:
         if frame is not None:
             try:
                 request_ring.release(frame.slot, frame.seq)
             except Exception:   # reclaimed under us — the parent gave up on us
                 pass
-    timings: Dict[str, Any] = {"read_ms": read_ms, "compute_ms": compute_ms}
-    if secure_totals is not None:
-        timings["secure"] = secure_totals
-    _respond_batch(response_queue, response_ring, batch_id, request_ids,
-                   outputs, timings)
 
 
 def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.ndarray],
@@ -364,7 +300,8 @@ def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.n
     Top-level (not a closure) so it imports cleanly under the ``spawn`` start
     method.  ``config_dict`` is the pool's ``ServeConfig.to_dict()`` and
     ``ring_descriptor`` the worker's :meth:`WorkerRings.descriptor` (``None``
-    for the pipe transport).
+    when the pool could not create shared memory: every tensor then travels
+    inline).
     """
     import signal
 
@@ -379,18 +316,14 @@ def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.n
 
     request_ring = response_ring = None
     if ring_descriptor is not None:
-        from .shm import WorkerRings
-
         request_ring, response_ring = WorkerRings.attach(ring_descriptor)
 
+    # Only the predictor's compiled model runs here (through the arena), so
+    # its own micro-batching settings are moot.
     predictor = build_serving_predictor(
-        spec_dict, state,
-        max_batch_size=config_dict.get("max_batch_size", 8),
-        max_wait=config_dict.get("max_wait", 0.002),
+        spec_dict, state, max_batch_size=1, max_wait=0.0,
         backend=config_dict.get("backend", "numpy"),
         secure=config_dict if config_dict.get("secure") else None)
-    fused = bool(config_dict.get("fused_batching", False))
-    request_timeout = float(config_dict.get("request_timeout", 30.0))
     arena = ResponseArena(response_ring)
     response_queue.put(("ready", worker_id, os.getpid()))
     try:
@@ -399,13 +332,12 @@ def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.n
             if message is None:
                 break
             if message[0] == "batch":
-                _serve_batch(predictor, message, request_ring,
-                             response_ring, response_queue, fused,
-                             arena=arena)
+                _serve_batch(predictor, message, request_ring, arena,
+                             response_queue)
                 continue
             kind, request_id, payload = message
             try:
-                result = execute_request(predictor, kind, payload, request_timeout)
+                result = execute_request(kind, payload)
                 response_queue.put(("ok", request_id, result))
             except BaseException as error:  # noqa: BLE001
                 response_queue.put(("err", request_id,

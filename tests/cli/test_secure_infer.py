@@ -131,11 +131,6 @@ def test_serve_secure_rejects_bad_frac_bits(capsys):
     assert "frac_bits" in capsys.readouterr().err
 
 
-def test_serve_secure_rejects_fused_batching(capsys):
-    assert main(["serve", "smoke", "--secure", "--fused-batching"]) == 2
-    assert "fused_batching" in capsys.readouterr().err
-
-
 # --------------------------------------------------------------------------- #
 # Registry-regenerated surfaces (the drift-proofing fix)
 # --------------------------------------------------------------------------- #

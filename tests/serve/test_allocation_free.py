@@ -1,6 +1,6 @@
 """The allocation-free hot path: in-ring assembly + arena-backed responses.
 
-Three properties of the steady-state serving data plane:
+Four properties of the steady-state serving data plane:
 
 1. Scattering request payloads straight into a leased slot
    (``ShmRing.assemble``) is bit-identical to the ``np.stack``-then-``write``
@@ -12,6 +12,9 @@ Three properties of the steady-state serving data plane:
 3. A live shm pool answers through the new path bit-identically to the
    single-process predictor with zero assembly fallbacks, including the
    ragged batch the backlog tail produces.
+4. A response the ring cannot take — ring full, or a batch that outgrew a
+   slot — is answered inline, bit-identically, and every slot the arena
+   leased on the way is released.
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ class TestWarmWorkerAllocationFree:
             def one_batch(verify=False):
                 frame = scatter(request_ring, list(requests))
                 batch = request_ring.read(frame)
-                arena.serve(compiled, batch, False, 0,
-                            list(range(len(batch))), 0.0, responses)
+                arena.serve(compiled, batch, 0, list(range(len(batch))),
+                            0.0, responses)
                 request_ring.release(frame.slot, frame.seq)
                 _, _, _, (via, out_frame), _ = responses.get()
                 assert via == "shm"            # answered through the ring
@@ -168,7 +171,7 @@ class TestPoolAssembly:
                 assert got.dtype == expected.dtype
                 assert np.array_equal(got, expected)
             transport = pool.stats()["transport"]
-            assert transport["kind"] == "shm"
+            assert transport["rings"] is not None
             assert transport["assembly_fallbacks"] == 0
             assert transport["inline_dispatches"] == 0
 
@@ -183,3 +186,29 @@ class TestPoolAssembly:
             transport = pool.stats()["transport"]
             assert transport["assembly_fallbacks"] >= 1
             assert transport["inline_dispatches"] >= 1
+
+
+# --------------------------------------------------------------------------- #
+# 4. Arena fallback: answered inline, no slot leaked
+# --------------------------------------------------------------------------- #
+
+class TestArenaFallback:
+    @pytest.mark.parametrize("blocked", ["ring_full", "slot_too_small"])
+    def test_unshippable_response_goes_inline_without_leaking(self, smoke,
+                                                              blocked):
+        predictor = build_serving_predictor(
+            smoke.spec.to_dict(), smoke.state, max_batch_size=8, max_wait=0.0)
+        responses = queue.SimpleQueue()
+        batch = np.stack(smoke.samples)          # 6 rows x 4 logits = 96 bytes
+        slot_bytes = 64 if blocked == "slot_too_small" else 1 << 20
+        with ShmRing(slots=1, slot_bytes=slot_bytes) as response_ring:
+            held = [response_ring.lease()[0]] if blocked == "ring_full" else []
+            ResponseArena(response_ring).serve(
+                predictor.compiled, batch, 0, list(range(len(batch))), 0.0,
+                responses)
+            _, _, _, (via, outputs), _ = responses.get()
+            assert via == "inline"
+            for row, expected in zip(outputs, smoke.expected):
+                assert np.array_equal(row, expected)
+            assert response_ring.leased_slots() == held
+        predictor.close()

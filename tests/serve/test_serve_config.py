@@ -39,8 +39,11 @@ class TestServeConfig:
         assert clone == config
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown ServeConfig field"):
-            ServeConfig.from_dict({"workres": 2})
+        # Typos and retired knobs alike fail loudly.
+        for data in ({"workres": 2}, {"transport": "pipe"},
+                     {"fused_batching": True}):
+            with pytest.raises(ValueError, match="unknown ServeConfig field"):
+                ServeConfig.from_dict(data)
 
     def test_with_returns_modified_copy(self):
         config = ServeConfig()
@@ -67,10 +70,6 @@ class TestSecureConfig:
     def test_invalid_secure_values_raise(self, field, value):
         with pytest.raises(ValueError):
             ServeConfig(**{field: value})
-
-    def test_secure_is_incompatible_with_fused_batching(self):
-        with pytest.raises(ValueError, match="fused_batching"):
-            ServeConfig(secure=True, fused_batching=True)
 
     def test_effective_triple_pool_depth(self):
         from repro.serve import MAX_PIPELINE_DEPTH

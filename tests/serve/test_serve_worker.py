@@ -1,11 +1,19 @@
-"""The worker-side build path, exercised in-process (no subprocess needed)."""
+"""The worker side of the pool, exercised in-process (no subprocess needed)."""
 
 from __future__ import annotations
+
+import queue
 
 import numpy as np
 import pytest
 
-from repro.serve.worker import REQUEST_KINDS, build_serving_predictor, execute_request
+from repro.serve import ServeConfig
+from repro.serve.worker import (
+    REQUEST_KINDS,
+    ResponseArena,
+    build_serving_predictor,
+    execute_request,
+)
 
 
 class TestBuildServingPredictor:
@@ -15,8 +23,7 @@ class TestBuildServingPredictor:
             smoke.spec.to_dict(), dict(smoke.state), max_batch_size=1, max_wait=0.0)
         try:
             for sample, expected in zip(smoke.samples, smoke.expected):
-                out = execute_request(predictor, "predict", sample, timeout=30.0)
-                assert np.array_equal(out, expected)
+                assert np.array_equal(predictor.predict(sample), expected)
         finally:
             predictor.shutdown()
 
@@ -24,7 +31,7 @@ class TestBuildServingPredictor:
         predictor = build_serving_predictor(
             smoke.spec.to_dict(), {}, max_batch_size=1, max_wait=0.0)
         try:
-            out = execute_request(predictor, "predict", smoke.samples[0], timeout=30.0)
+            out = predictor.predict(smoke.samples[0])
             # The smoke spec builds deterministically from its seed, and the
             # parent model was never trained, so even the no-state path agrees.
             assert np.array_equal(out, smoke.expected[0])
@@ -33,15 +40,38 @@ class TestBuildServingPredictor:
 
 
 class TestExecuteRequest:
-    def test_sleep_returns_none(self, smoke):
-        predictor = build_serving_predictor(
-            smoke.spec.to_dict(), dict(smoke.state), max_batch_size=1, max_wait=0.0)
-        try:
-            assert execute_request(predictor, "sleep", 0.0, timeout=5.0) is None
-        finally:
-            predictor.shutdown()
+    def test_sleep_returns_none(self):
+        assert execute_request("sleep", 0.0) is None
 
     def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown request kind"):
-            execute_request(object(), "transmogrify", None, timeout=1.0)
-        assert REQUEST_KINDS == ("batch", "predict", "sleep")
+        # Samples only travel in batch frames; a single-sample "predict"
+        # frame is as unknown as a made-up kind.
+        for kind in ("transmogrify", "predict"):
+            with pytest.raises(ValueError, match="unknown request kind"):
+                execute_request(kind, None)
+        assert REQUEST_KINDS == ("batch", "sleep")
+
+
+class TestSecureBatch:
+    def test_secure_rows_match_single_sample_predictions(self, smoke):
+        """A coalesced secure frame runs through the same executor as a float
+        one: each row equals a single-sample secure prediction and carries
+        its own protocol totals."""
+        samples = np.stack(smoke.samples[:3])
+        predictor = build_serving_predictor(
+            smoke.spec.to_dict(), smoke.state, max_batch_size=1, max_wait=0.0,
+            secure=ServeConfig(secure=True).to_dict())
+        responses = queue.SimpleQueue()
+        try:
+            ResponseArena().serve(predictor.compiled, samples, 0, [0, 1, 2],
+                                  0.0, responses)
+            expected = [predictor.predict(sample) for sample in samples]
+            totals = predictor.last_trace.totals()
+        finally:
+            predictor.close()
+        _, _, _, (via, outputs), timings = responses.get()
+        assert via == "inline"                   # this arena has no ring
+        for row, want in zip(outputs, expected):
+            assert row.dtype == want.dtype and np.array_equal(row, want)
+        assert timings["secure"] == [totals] * len(samples)
+        assert len(timings["compute_ms"]) == len(samples)
