@@ -205,9 +205,7 @@ def measure_allocations(spec, state, samples: np.ndarray) -> dict:
     from repro.serve.shm import ShmRing
     from repro.serve.worker import ResponseArena, build_serving_predictor
 
-    predictor = build_serving_predictor(spec.to_dict(), state,
-                                        max_batch_size=8, max_wait=0.0)
-    compiled = predictor.compiled
+    compiled = build_serving_predictor(spec.to_dict(), state)
     responses = queue.SimpleQueue()
     requests = np.ascontiguousarray(samples[:8])
     with ShmRing(slots=4, slot_bytes=1 << 20) as request_ring, \
@@ -235,7 +233,6 @@ def measure_allocations(spec, state, samples: np.ndarray) -> dict:
         one_batch()                # the measured steady-state batch
         after = tracemalloc.take_snapshot()
         tracemalloc.stop()
-    predictor.close()
 
     diffs = [stat for stat in after.compare_to(before, "lineno")
              if stat.size_diff > 0]

@@ -3,7 +3,7 @@
 One :class:`Backend` object supplies every numerical primitive the compiled
 inference path executes (GEMM, ``im2col``, grouped conv projections, the
 fused quadratic combination, pooling, element-wise glue and scratch-buffer
-allocation).  The compiler's rules dispatch through it instead of calling
+allocation).  The compiler's emitters dispatch through it instead of calling
 NumPy directly, so execution engines are swappable per compile:
 
 >>> from repro.inference import compile_model

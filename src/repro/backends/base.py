@@ -4,7 +4,7 @@ Every numerical primitive the inference compiler emits — the GEMMs behind
 dense layers, the ``im2col`` lowering and grouped projections behind
 convolutions, the fused quadratic combination, pooling and the element-wise
 glue — is dispatched through exactly one object: a :class:`Backend`.  The
-compile rules in :mod:`repro.inference.compiler` close over the backend
+emitters in :mod:`repro.inference.compiler` close over the backend
 instead of calling NumPy directly, so swapping the execution engine of a
 model is a one-word change (``compile_model(model, backend="threaded")``)
 and adding an engine is a subclass plus a :func:`register_backend` call —

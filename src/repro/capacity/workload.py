@@ -1,11 +1,11 @@
 """What one request costs, in kernel-class work counts.
 
 The planner prices work the way the compiled inference path executes it:
-:func:`repro.profiler.profile_model` pushes a probe through the model (the
-same ``inference_plan()`` flattening the compiler walks) and reports exact
-per-layer MACs; this module buckets those MACs by the *kernel class* that
-will execute them, because a GEMM MAC and an im2col-conv MAC sustain very
-different rates on the same host:
+one probe forward (:func:`repro.inference.lowering.probe_leaves`) records
+every leaf's shapes, the profiler turns them into exact per-layer MACs, and
+this module buckets those MACs by the *kernel class* that will execute each
+layer kind, because a GEMM MAC and an im2col-conv MAC sustain very different
+rates on the same host:
 
 ``conv_macs``
     layers lowered through ``Backend.im2col`` + ``Backend.conv_project``
@@ -23,8 +23,8 @@ different rates on the same host:
     window each one reduces over.  Pooling has no parameters and almost no
     MACs, so the profiler skips it — but the windowed kernels run far
     below element-wise rates (strided window views defeat vectorization),
-    and on small backbones they are a *plurality* of inference time.  A
-    separate probe forward collects them here.
+    and on small backbones they are a *plurality* of inference time.  The
+    same probe forward collects them here.
 
 Secure serving adds a second ledger: the per-request
 :class:`~repro.ppml.offline.OfflineBudget` (Beaver triples, garbled labels)
@@ -40,22 +40,37 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..autodiff.ops.conv import _pair
+
 __all__ = ["RequestWork", "SecureWork", "request_work", "secure_work"]
 
-#: layer-type substrings → kernel class (checked in order; first hit wins).
-_KERNEL_CLASSES = (
-    ("Conv", "conv"),
-    ("Linear", "gemm"),
-    ("MLP", "gemm"),
-)
+#: layer kind -> kernel class; every other kind the profiler prices is
+#: element-wise work.
+_KERNEL_CLASSES = {
+    "conv": "conv",
+    "quadratic_conv": "conv",
+    "bilinear_conv": "conv",
+    "linear": "gemm",
+    "quadratic_linear": "gemm",
+}
 
 
-def classify_layer(layer_type: str) -> str:
-    """Kernel class (``conv``/``gemm``/``elementwise``) of a profiled layer."""
-    for needle, kernel in _KERNEL_CLASSES:
-        if needle in layer_type:
-            return kernel
-    return "elementwise"
+def _kernel_window(module, in_shape, out_shape) -> int:
+    return int(np.prod(_pair(module.kernel_size)))
+
+
+def _whole_input(module, in_shape, out_shape) -> int:
+    return max(1, int(np.prod(in_shape)) // max(1, int(np.prod(out_shape))))
+
+
+#: pooling kind -> input elements each output element reads.  Fixed-window
+#: pools read their kernel; global/adaptive pools read all of their input.
+_POOL_WINDOWS = {
+    "maxpool": _kernel_window,
+    "avgpool": _kernel_window,
+    "adaptive_avgpool": _whole_input,
+    "global_avgpool": _whole_input,
+}
 
 
 @dataclass(frozen=True)
@@ -118,58 +133,6 @@ class SecureWork:
         }
 
 
-def _pool_window_elems(model, shape: Tuple[int, ...]) -> int:
-    """Windowed-reduction work of one batch-1 forward (output elems x window).
-
-    The profiler only reports parametric layers, so pooling — which the
-    compiled path executes as real strided-window kernels — is collected
-    here with its own probe forward.  For fixed-window pools the window is
-    ``kernel_size²``; for global/adaptive pools it is the input-to-output
-    element ratio (every input element is read once).
-    """
-    from ..autodiff import no_grad
-    from ..autodiff.tensor import Tensor
-    from ..nn.layers.pooling import (AdaptiveAvgPool2d, AvgPool2d,
-                                     GlobalAvgPool2d, MaxPool2d)
-
-    counts = []
-    removers = []
-
-    def make_hook(module):
-        def hook(_module, inputs, output):
-            if not isinstance(output, Tensor):
-                return
-            out_elems = int(np.prod(output.shape))
-            kernel = getattr(module, "kernel_size", None)
-            if isinstance(kernel, (tuple, list)):
-                window = int(kernel[0]) * int(kernel[1])
-            elif isinstance(kernel, int):
-                window = kernel * kernel
-            else:                       # global/adaptive: reads all of the input
-                in_elems = int(np.prod(inputs[0].shape)) if inputs else out_elems
-                window = max(1, in_elems // max(1, out_elems))
-            counts.append(out_elems * window)
-        return hook
-
-    for _name, module in model.named_modules():
-        if isinstance(module, (AdaptiveAvgPool2d, AvgPool2d,
-                               GlobalAvgPool2d, MaxPool2d)):
-            removers.append(module.register_forward_hook(make_hook(module)))
-    if not removers:
-        return 0
-    try:
-        probe = Tensor(np.zeros((1,) + shape, dtype=np.float32))
-        was_training = model.training
-        model.train(False)
-        with no_grad():
-            model(probe)
-        model.train(was_training)
-    finally:
-        for remove in removers:
-            remove()
-    return int(sum(counts))
-
-
 def request_work(model, input_shape: Sequence[int],
                  num_classes: Optional[int] = None) -> RequestWork:
     """Profile ``model`` at batch 1 and bucket its work by kernel class.
@@ -178,14 +141,16 @@ def request_work(model, input_shape: Sequence[int],
     output payload size is taken from ``num_classes`` when given, else from
     the probe forward's final layer profile.
     """
-    from ..profiler.flops import profile_model
+    from ..inference.lowering import probe_leaves
+    from ..profiler.flops import profile_leaves
 
     shape = tuple(int(dim) for dim in input_shape)
-    profile = profile_model(model, shape, batch_size=1)
+    leaves = probe_leaves(model, shape, batch_size=1)
+    profile = profile_leaves(leaves)
     counters = {"conv": 0, "gemm": 0, "elementwise": 0}
     last_shape: Tuple[int, ...] = (1,)
     for layer in profile.layers:
-        counters[classify_layer(layer.layer_type)] += layer.macs
+        counters[_KERNEL_CLASSES.get(layer.kind, "elementwise")] += layer.macs
         if layer.output_shape:
             last_shape = layer.output_shape
     if num_classes is not None:
@@ -200,7 +165,10 @@ def request_work(model, input_shape: Sequence[int],
         input_bytes=int(np.prod(shape)) * itemsize,
         output_bytes=output_elements * itemsize,
         layers=len(profile.layers),
-        pool_window_elems=_pool_window_elems(model, shape),
+        pool_window_elems=sum(
+            int(np.prod(out_shape)) * _POOL_WINDOWS[leaf.kind](leaf.module, in_shape, out_shape)
+            for leaf in leaves if leaf.kind in _POOL_WINDOWS
+            for in_shape, out_shape in leaf.calls),
     )
 
 

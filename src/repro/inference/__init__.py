@@ -1,11 +1,13 @@
 """``repro.inference`` — the compiled, gradient-free serving path.
 
-Training needs the autodiff graph; serving does not.  This package turns a
-trained :class:`~repro.nn.module.Module` into a flat list of closed-over
-NumPy callables (:func:`compile_model`), fuses the quadratic combination
-step into ``out=``-buffered element-wise kernels with a shared ``im2col``
-lowering per layer, and micro-batches single-sample traffic through the
-compiled path (:class:`BatchedPredictor`).
+Training needs the autodiff graph; serving does not.  This package lowers
+a trained :class:`~repro.nn.module.Module` once into kind-tagged ops
+(:func:`lower`, which the secure runtime interprets too; the static counters
+dispatch on the same :data:`KINDS`), turns them into a flat list of
+closed-over NumPy callables (:func:`compile_model`), fuses the quadratic
+combination step into ``out=``-buffered element-wise kernels with a shared
+``im2col`` lowering per layer, and micro-batches single-sample traffic
+through the compiled path (:class:`BatchedPredictor`).
 
 Every numerical primitive the compiled steps execute dispatches through a
 pluggable compute backend (:mod:`repro.backends` — ``numpy``, ``threaded``,
@@ -38,8 +40,9 @@ Example
 """
 
 from .buffers import BufferPool, LifetimePlanner
-from .compiler import CompiledModel, compile_model, register_compile_rule
+from .compiler import CompiledModel, compile_model
 from .evaluation import max_abs_diff, measure_serving
+from .lowering import KINDS, Op, kind_of, lower, probe_leaves
 from .optimizer import FrozenBatchNorm, OptimizationReport, optimize_plan
 from .predictor import BatchedPredictor, PendingPrediction, PredictorStats
 from .protocol import Predictor
@@ -53,7 +56,11 @@ __all__ = [
     "CompiledModel",
     "compile_model",
     "compile",
-    "register_compile_rule",
+    "KINDS",
+    "Op",
+    "kind_of",
+    "lower",
+    "probe_leaves",
     "FrozenBatchNorm",
     "OptimizationReport",
     "optimize_plan",

@@ -7,40 +7,37 @@ just first-order projections plus element-wise combinations — so at inference
 time the whole model collapses into a short list of closed-over NumPy
 functions with no graph at all.
 
-:func:`compile_model` walks the module tree once and emits that list.  Three
-mechanisms cover the tree:
+:func:`compile_model` takes the model's one lowering
+(:func:`repro.inference.lowering.lower`: a flat list of kind-tagged ops) and
+runs every op through this module's ``{kind: emitter}`` table:
 
-* **compile rules** — per-layer-type translators registered in ``_RULES``.
-  Each emits a closure that reproduces the layer's eager arithmetic
-  *operation for operation* (same primitives, same order), so compiled
-  outputs match the eager forward bit-for-bit while skipping every Tensor
-  allocation.  Quadratic layers get the fused treatment: the ``im2col``
-  lowering is computed **once** and shared by all weight projections
-  (eager pays it once per projection), and the combination step runs through
-  the fused ``out=`` kernels of :mod:`repro.quadratic.functional`.
-* **inference plans** — composite modules whose forward is a pure pipeline
-  (``VGG``, ``MobileNetV1``, …) expose ``inference_plan()`` returning their
-  stages in execution order; the compiler flattens each stage recursively.
-* **fallback** — any module the compiler does not understand (or that has
-  forward hooks attached) keeps its eager forward, wrapped to accept and
+* **emitters** — each emits a closure that reproduces the layer's eager
+  arithmetic *operation for operation* (same primitives, same order), so
+  compiled outputs match the eager forward bit-for-bit while skipping every
+  Tensor allocation.  Quadratic layers get the fused treatment: the
+  ``im2col`` lowering is computed **once** and shared by all weight
+  projections (eager pays it once per projection), and the combination step
+  runs through the fused ``out=`` kernels of :mod:`repro.quadratic.functional`.
+* **fallback** — an op no emitter handles (an unknown module, a hooked one,
+  the full-rank T1 family) keeps its eager forward, wrapped to accept and
   return raw arrays.  Compilation therefore never changes semantics, it only
   accelerates the parts it can prove equivalent.
 
 Two orthogonal axes configure a compile:
 
-* ``backend`` — the execution engine.  Every numerical primitive a rule
-  emits (GEMM, ``im2col``, grouped projections, the fused quadratic
+* ``backend`` — the execution engine.  Every numerical primitive an emitter
+  uses (GEMM, ``im2col``, grouped projections, the fused quadratic
   combination, pooling, element-wise glue) dispatches through one
   :class:`repro.backends.Backend` object, so
   ``compile_model(model, backend="threaded")`` runs the same step list on
   all cores and ``backend="int8"`` runs it quantized.  The default
   ``numpy`` backend is the reference arithmetic.
-* ``optimize`` — the graph level.  Before a chain is lowered,
-  :func:`repro.inference.optimizer.optimize_plan` rewrites it (dead-layer
-  elimination, padding folding, BatchNorm constant folding; BN-into-conv at
-  ``"full"``), and a :class:`~repro.inference.buffers.LifetimePlanner`
-  assigns pooled buffers from shared lifetime arenas instead of per-step
-  namespaces.  ``optimize="none"`` reproduces the unoptimized layout.
+* ``optimize`` — the graph level.  The lowering rewrites each chain with
+  :func:`repro.inference.optimizer.optimize_plan` (dead-layer elimination,
+  padding folding, BatchNorm constant folding; BN-into-conv at ``"full"``),
+  and a :class:`~repro.inference.buffers.LifetimePlanner` assigns pooled
+  buffers from shared lifetime arenas instead of per-step namespaces.
+  ``optimize="none"`` reproduces the unoptimized layout.
 
 Intermediate results are written into buffers rented from a
 :class:`~repro.inference.buffers.BufferPool`, so steady-state serving reuses
@@ -49,66 +46,24 @@ the same scratch memory call after call.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..autodiff.function import Context
 from ..autodiff.grad_mode import inference_mode
 from ..autodiff.ops import conv as conv_ops
 from ..autodiff.ops.conv import conv_output_size
 from ..autodiff.tensor import Tensor
 from ..backends import Backend, get_backend
-from ..nn.containers import Sequential
-from ..nn.layers.activations import (
-    GELU,
-    Identity,
-    LeakyReLU,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Square,
-    Tanh,
-)
-from ..nn.layers.conv import Conv2d, DepthwiseSeparableConv2d
-from ..nn.layers.linear import Linear
-from ..nn.layers.misc import Dropout, Flatten, UpsampleNearest2d, ZeroPad2d
-from ..nn.layers.normalization import LayerNorm, _BatchNorm
-from ..nn.layers.pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from ..nn.layers.normalization import _BatchNorm
 from ..nn.module import Module
 from ..quadratic.functional import REQUIRED_RESPONSES
-from ..quadratic.layers.hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-    HybridQuadraticLinear,
-)
-from ..quadratic.layers.qconv import QuadraticConv2d
-from ..quadratic.layers.qlinear import QuadraticLinear
 from .buffers import BufferPool, LifetimePlanner
-from .optimizer import FrozenBatchNorm, OptimizationReport, normalize_level, optimize_plan
+from .lowering import Op, lower
+from .optimizer import OptimizationReport, normalize_level
 
 #: One compiled step: a raw-array transformation with no graph side effects.
 Step = Callable[[np.ndarray], np.ndarray]
-
-#: module type -> rule(module, compiler) -> list of steps.
-_RULES: Dict[Type[Module], Callable] = {}
-
-
-def register_compile_rule(*module_types: Type[Module]):
-    """Register a compile rule for one or more layer classes.
-
-    The rule receives ``(module, compiler)`` and returns the step list that
-    reproduces the module's eager forward on raw arrays.  Rules are resolved
-    through the module's MRO, so registering a base class covers subclasses.
-    """
-
-    def _register(fn: Callable) -> Callable:
-        for module_type in module_types:
-            _RULES[module_type] = fn
-        return fn
-
-    return _register
 
 
 class CompiledModel:
@@ -197,16 +152,15 @@ class CompiledModel:
                 f"fallbacks={len(self.fallback_modules)})")
 
 
-class _Compiler:
-    """Single-pass tree walker carrying the pool, backend and step counter."""
 
-    def __init__(self, pool: BufferPool, backend: Optional[Backend] = None,
-                 level: str = "none") -> None:
+
+class _FloatBuild:
+    """Emission state: the pool, backend, buffer planner and step counter."""
+
+    def __init__(self, pool: BufferPool, backend: Backend, level: str) -> None:
         self.pool = pool
-        self.backend = backend if backend is not None else get_backend(None)
-        self.level = level
+        self.backend = backend
         self.planner = LifetimePlanner(enabled=(level != "none"))
-        self.report = OptimizationReport(level=level)
         self.fallbacks: List[Module] = []
         self.batch_dependent: List[Module] = []
         self._step_index = 0
@@ -216,29 +170,8 @@ class _Compiler:
         self._step_index += 1
         return self._step_index
 
-    # -------------------------------------------------------------- traversal
-    def compile_module(self, module: Module) -> List[Step]:
-        if module._forward_hooks:
-            # Hooks observe eager activations (profilers, analysis tools);
-            # keep this module eager so they still fire.
-            return [self.fallback(module)]
-        if isinstance(module, Sequential):
-            return self.compile_chain(module)
-        plan = getattr(module, "inference_plan", None)
-        if callable(plan):
-            return self.compile_chain(plan())
-        for klass in type(module).__mro__:
-            rule = _RULES.get(klass)
-            if rule is not None:
-                return list(rule(module, self))
-        return [self.fallback(module)]
-
-    def compile_chain(self, modules: Sequence[Module]) -> List[Step]:
-        optimized, _ = optimize_plan(modules, self.level, self.report)
-        steps: List[Step] = []
-        for module in optimized:
-            steps.extend(self.compile_module(module))
-        return steps
+    def emit(self, ops: Sequence[Op]) -> List[Step]:
+        return [_EMITTERS.get(op.kind, _compile_eager)(op, self) for op in ops]
 
     def fallback(self, module: Module) -> Step:
         """Wrap an eager module so it slots into the compiled pipeline.
@@ -272,7 +205,7 @@ def compile_model(model: Module, pool: Optional[BufferPool] = None,
                   optimize: Union[str, bool, None] = None, **ppml_options):
     """Lower ``model`` to a compiled forward path for gradient-free serving.
 
-    ``mode`` selects the lowering:
+    ``mode`` selects the interpreter of the model's lowering:
 
     * ``"float"`` (default) — the :class:`CompiledModel` NumPy fast path.
       The compiled forward uses evaluation semantics regardless of the
@@ -286,9 +219,9 @@ def compile_model(model: Module, pool: Optional[BufferPool] = None,
       instance, or ``None`` for the reference engine.  ``optimize`` sets the
       graph-optimizer level (``"none"``/``"default"``/``"full"``, or
       ``True``/``False``; ``None`` means ``"default"``).
-    * ``"ppml"`` — the secure-inference path: the same traversal scheme
-      emits *fixed-point* closures instead, returning a
-      :class:`repro.ppml.SecureCompiledModel` that executes under
+    * ``"ppml"`` — the secure-inference path: the same lowering, emitted as
+      *fixed-point* closures by :func:`repro.ppml.secure_compile`, returning
+      a :class:`repro.ppml.SecureCompiledModel` that executes under
       hybrid-protocol semantics and records a per-layer protocol trace.
       Extra keyword arguments (``protocol``, ``frac_bits``, ``truncation``,
       ``seed``) become the :class:`repro.ppml.SecureConfig`.
@@ -312,25 +245,31 @@ def compile_model(model: Module, pool: Optional[BufferPool] = None,
             f"keyword arguments {sorted(ppml_options)} are only valid with mode='ppml'")
     engine = get_backend(backend)
     level = normalize_level(optimize)
-    compiler = _Compiler(pool if pool is not None else engine.make_pool(),
-                         backend=engine, level=level)
-    steps = compiler.compile_module(model)
-    return CompiledModel(model, steps, compiler.pool, compiler.fallbacks,
-                         compiler.batch_dependent, backend=engine,
-                         optimization=compiler.report)
+    report = OptimizationReport(level=level)
+    build = _FloatBuild(pool if pool is not None else engine.make_pool(),
+                        engine, level)
+    steps = build.emit(lower(model, level, report))
+    return CompiledModel(model, steps, build.pool, build.fallbacks,
+                         build.batch_dependent, backend=engine,
+                         optimization=report)
+
+
+def _compile_eager(op: Op, build: _FloatBuild) -> Step:
+    # Unknown and hooked modules, and the full-rank T1 family.
+    return build.fallback(op.module)
 
 
 # --------------------------------------------------------------------------- #
 # First-order layers
 # --------------------------------------------------------------------------- #
 
-@register_compile_rule(Linear)
-def _compile_linear(module: Linear, compiler: _Compiler) -> List[Step]:
-    be = compiler.backend
-    pool = compiler.pool
+def _compile_linear(op: Op, build: _FloatBuild) -> Step:
+    module = op.module
+    be = build.backend
+    pool = build.pool
     weight_t = module.weight.data.T          # view; tracks in-place updates
     bias = module.bias.data if module.bias is not None else None
-    out_key = compiler.planner.activation(compiler.next_key())
+    out_key = build.planner.activation(build.next_key())
 
     def linear_step(x: np.ndarray) -> np.ndarray:
         out_shape = x.shape[:-1] + (weight_t.shape[-1],)
@@ -339,25 +278,21 @@ def _compile_linear(module: Linear, compiler: _Compiler) -> List[Step]:
             be.add(out, bias, out=out)
         return out
 
-    return [linear_step]
+    return linear_step
 
 
-def _conv_geometry(module) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
-    return module.stride, module.padding, getattr(module, "groups", 1)
-
-
-@register_compile_rule(Conv2d)
-def _compile_conv2d(module: Conv2d, compiler: _Compiler) -> List[Step]:
-    be = compiler.backend
-    pool = compiler.pool
-    stride, padding, groups = _conv_geometry(module)
+def _compile_conv2d(op: Op, build: _FloatBuild) -> Step:
+    module = op.module
+    be = build.backend
+    pool = build.pool
+    stride, padding, groups = module.stride, module.padding, module.groups
     f, c_g, kh, kw = module.weight.shape
     wmat = module.weight.data.reshape(groups, f // groups, c_g * kh * kw)
     bias = (module.bias.data.reshape(1, f, 1, 1)
             if module.bias is not None else None)
-    key = compiler.next_key()
-    cols_key = compiler.planner.scratch(key, "cols")
-    out_key = compiler.planner.activation(key)
+    key = build.next_key()
+    cols_key = build.planner.scratch(key, "cols")
+    out_key = build.planner.activation(key)
     dispatch_cache: dict = {}
 
     def conv_step(x: np.ndarray) -> np.ndarray:
@@ -375,25 +310,19 @@ def _compile_conv2d(module: Conv2d, compiler: _Compiler) -> List[Step]:
             be.add(out, bias, out=out)
         return out
 
-    return [conv_step]
+    return conv_step
 
 
-@register_compile_rule(DepthwiseSeparableConv2d)
-def _compile_depthwise_separable(module: DepthwiseSeparableConv2d,
-                                 compiler: _Compiler) -> List[Step]:
-    return compiler.compile_chain([module.depthwise, module.pointwise])
-
-
-@register_compile_rule(_BatchNorm)
-def _compile_batchnorm(module: _BatchNorm, compiler: _Compiler) -> List[Step]:
-    be = compiler.backend
-    pool = compiler.pool
-    out_key = compiler.planner.activation(compiler.next_key())
+def _compile_batchnorm(op: Op, build: _FloatBuild) -> Step:
+    module = op.module
+    be = build.backend
+    pool = build.pool
+    out_key = build.planner.activation(build.next_key())
     eps = np.asarray(module.eps, dtype=np.float32)
     if not module.track_running_stats:
         # Eval-mode batch statistics: the output of any one sample depends on
         # its batch mates, so micro-batching this model is lossy.
-        compiler.batch_dependent.append(module)
+        build.batch_dependent.append(module)
 
     def batchnorm_step(x: np.ndarray) -> np.ndarray:
         shape = module._stat_shape(x.ndim)
@@ -414,16 +343,15 @@ def _compile_batchnorm(module: _BatchNorm, compiler: _Compiler) -> List[Step]:
             be.add(out, module.bias.data.reshape(shape), out=out)
         return out
 
-    return [batchnorm_step]
+    return batchnorm_step
 
 
-@register_compile_rule(FrozenBatchNorm)
-def _compile_frozen_batchnorm(module: FrozenBatchNorm,
-                              compiler: _Compiler) -> List[Step]:
+def _compile_frozen_batchnorm(op: Op, build: _FloatBuild) -> Step:
     """The constant-folded BatchNorm: same four ops on precomputed arrays."""
-    be = compiler.backend
-    pool = compiler.pool
-    out_key = compiler.planner.activation(compiler.next_key())
+    module = op.module
+    be = build.backend
+    pool = build.pool
+    out_key = build.planner.activation(build.next_key())
     reshaped: Dict[int, tuple] = {}
 
     def frozen_batchnorm_step(x: np.ndarray) -> np.ndarray:
@@ -443,11 +371,11 @@ def _compile_frozen_batchnorm(module: FrozenBatchNorm,
             be.add(out, beta, out=out)
         return out
 
-    return [frozen_batchnorm_step]
+    return frozen_batchnorm_step
 
 
-@register_compile_rule(LayerNorm)
-def _compile_layernorm(module: LayerNorm, compiler: _Compiler) -> List[Step]:
+def _compile_layernorm(op: Op, build: _FloatBuild) -> Step:
+    module = op.module
     eps = np.asarray(module.eps, dtype=np.float32)
     normalized_ndim = len(module.normalized_shape)
 
@@ -459,79 +387,72 @@ def _compile_layernorm(module: LayerNorm, compiler: _Compiler) -> List[Step]:
         normed = centered * ((var + eps) ** -0.5)
         return normed * module.weight.data + module.bias.data
 
-    return [layernorm_step]
+    return layernorm_step
 
 
 # --------------------------------------------------------------------------- #
 # Activations and shape plumbing
 # --------------------------------------------------------------------------- #
 
-@register_compile_rule(ReLU)
-def _compile_relu(module: ReLU, compiler: _Compiler) -> List[Step]:
-    be = compiler.backend
-    pool = compiler.pool
-    out_key = compiler.planner.activation(compiler.next_key())
+def _compile_relu(op: Op, build: _FloatBuild) -> Step:
+    be = build.backend
+    pool = build.pool
+    out_key = build.planner.activation(build.next_key())
 
     def relu_step(x: np.ndarray) -> np.ndarray:
         return be.maximum(x, np.float32(0.0), out=pool.get(out_key, x.shape))
 
-    return [relu_step]
+    return relu_step
 
 
-@register_compile_rule(LeakyReLU)
-def _compile_leaky_relu(module: LeakyReLU, compiler: _Compiler) -> List[Step]:
-    slope = module.negative_slope
+def _compile_leaky_relu(op: Op, build: _FloatBuild) -> Step:
+    slope = op.module.negative_slope
 
     def leaky_relu_step(x: np.ndarray) -> np.ndarray:
         return np.where(x > 0, x, slope * x)
 
-    return [leaky_relu_step]
+    return leaky_relu_step
 
 
-@register_compile_rule(Sigmoid)
-def _compile_sigmoid(module: Sigmoid, compiler: _Compiler) -> List[Step]:
+def _compile_sigmoid(op: Op, build: _FloatBuild) -> Step:
     def sigmoid_step(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
-    return [sigmoid_step]
+    return sigmoid_step
 
 
-@register_compile_rule(Tanh)
-def _compile_tanh(module: Tanh, compiler: _Compiler) -> List[Step]:
+def _compile_tanh(op: Op, build: _FloatBuild) -> Step:
     def tanh_step(x: np.ndarray) -> np.ndarray:
         return np.tanh(x)
 
-    return [tanh_step]
+    return tanh_step
 
 
-@register_compile_rule(GELU)
-def _compile_gelu(module: GELU, compiler: _Compiler) -> List[Step]:
+def _compile_gelu(op: Op, build: _FloatBuild) -> Step:
     c = float(np.sqrt(2.0 / np.pi))
 
     def gelu_step(x: np.ndarray) -> np.ndarray:
         return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))
 
-    return [gelu_step]
+    return gelu_step
 
 
-@register_compile_rule(Softmax)
-def _compile_softmax(module: Softmax, compiler: _Compiler) -> List[Step]:
-    axis = module.axis
+def _compile_softmax(op: Op, build: _FloatBuild) -> Step:
+    axis = op.module.axis
 
     def softmax_step(x: np.ndarray) -> np.ndarray:
         shifted = x - x.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=axis, keepdims=True)
 
-    return [softmax_step]
+    return softmax_step
 
 
-@register_compile_rule(Square)
-def _compile_square(module: Square, compiler: _Compiler) -> List[Step]:
-    be = compiler.backend
-    pool = compiler.pool
-    out_key = compiler.planner.activation(compiler.next_key())
-    scale, linear = module.scale, module.linear
+def _compile_square(op: Op, build: _FloatBuild) -> Step:
+    be = build.backend
+    pool = build.pool
+    out_key = build.planner.activation(build.next_key())
+    scale, linear = op.module.scale, op.module.linear
 
     def square_step(x: np.ndarray) -> np.ndarray:
         out = pool.get(out_key, x.shape)
@@ -541,53 +462,44 @@ def _compile_square(module: Square, compiler: _Compiler) -> List[Step]:
             be.add(out, x * np.float32(linear), out=out)
         return out
 
-    return [square_step]
+    return square_step
 
 
-@register_compile_rule(Identity, Dropout)
-def _compile_noop(module: Module, compiler: _Compiler) -> List[Step]:
-    # Dropout is the identity in evaluation mode; drop the step entirely.
-    return []
-
-
-@register_compile_rule(Flatten)
-def _compile_flatten(module: Flatten, compiler: _Compiler) -> List[Step]:
-    start_dim = module.start_dim
+def _compile_flatten(op: Op, build: _FloatBuild) -> Step:
+    start_dim = op.module.start_dim
 
     def flatten_step(x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[:start_dim] + (-1,))
 
-    return [flatten_step]
+    return flatten_step
 
 
-@register_compile_rule(ZeroPad2d)
-def _compile_zeropad(module: ZeroPad2d, compiler: _Compiler) -> List[Step]:
-    left, right, top, bottom = module.padding
+def _compile_zeropad(op: Op, build: _FloatBuild) -> Step:
+    left, right, top, bottom = op.module.padding
 
     def zeropad_step(x: np.ndarray) -> np.ndarray:
         pad_width = [(0, 0)] * (x.ndim - 2) + [(top, bottom), (left, right)]
         return np.pad(x, pad_width, mode="constant")
 
-    return [zeropad_step]
+    return zeropad_step
 
 
-@register_compile_rule(UpsampleNearest2d)
-def _compile_upsample(module: UpsampleNearest2d, compiler: _Compiler) -> List[Step]:
-    scale = module.scale_factor
+def _compile_upsample(op: Op, build: _FloatBuild) -> Step:
+    scale = op.module.scale_factor
 
     def upsample_step(x: np.ndarray) -> np.ndarray:
         return x.repeat(scale, axis=2).repeat(scale, axis=3)
 
-    return [upsample_step]
+    return upsample_step
 
 
 # --------------------------------------------------------------------------- #
 # Pooling
 # --------------------------------------------------------------------------- #
 
-@register_compile_rule(MaxPool2d)
-def _compile_maxpool(module: MaxPool2d, compiler: _Compiler) -> List[Step]:
-    be = compiler.backend
+def _compile_maxpool(op: Op, build: _FloatBuild) -> Step:
+    be = build.backend
+    module = op.module
     kernel_size, stride, padding = module.kernel_size, module.stride, module.padding
     kh, kw = conv_ops._pair(kernel_size)
     sh, sw = conv_ops._pair(stride if stride is not None else kernel_size)
@@ -605,24 +517,23 @@ def _compile_maxpool(module: MaxPool2d, compiler: _Compiler) -> List[Step]:
         # autodiff op's forward, bit-identical to eager evaluation).
         return be.maxpool(x, kernel_size, stride, padding)
 
-    return [maxpool_step]
+    return maxpool_step
 
 
-@register_compile_rule(AvgPool2d)
-def _compile_avgpool(module: AvgPool2d, compiler: _Compiler) -> List[Step]:
-    be = compiler.backend
+def _compile_avgpool(op: Op, build: _FloatBuild) -> Step:
+    be = build.backend
+    module = op.module
     kernel_size, stride, padding = module.kernel_size, module.stride, module.padding
 
     def avgpool_step(x: np.ndarray) -> np.ndarray:
         return be.avgpool(x, kernel_size, stride, padding)
 
-    return [avgpool_step]
+    return avgpool_step
 
 
-@register_compile_rule(AdaptiveAvgPool2d)
-def _compile_adaptive_avgpool(module: AdaptiveAvgPool2d, compiler: _Compiler) -> List[Step]:
-    be = compiler.backend
-    output_size = module.output_size
+def _compile_adaptive_avgpool(op: Op, build: _FloatBuild) -> Step:
+    be = build.backend
+    output_size = op.module.output_size
 
     def adaptive_avgpool_step(x: np.ndarray) -> np.ndarray:
         if output_size == 1:
@@ -635,27 +546,21 @@ def _compile_adaptive_avgpool(module: AdaptiveAvgPool2d, compiler: _Compiler) ->
             )
         return be.avgpool(x, (h // output_size, w // output_size))
 
-    return [adaptive_avgpool_step]
+    return adaptive_avgpool_step
 
 
-@register_compile_rule(GlobalAvgPool2d)
-def _compile_global_avgpool(module: GlobalAvgPool2d, compiler: _Compiler) -> List[Step]:
+def _compile_global_avgpool(op: Op, build: _FloatBuild) -> Step:
     def global_avgpool_step(x: np.ndarray) -> np.ndarray:
         return x.mean(axis=(2, 3))
 
-    return [global_avgpool_step]
+    return global_avgpool_step
 
 
 # --------------------------------------------------------------------------- #
 # Quadratic layers — the fused kernels
 # --------------------------------------------------------------------------- #
 
-_WEIGHT_ATTRS = {"a": "weight_a", "b": "weight_b", "c": "weight_c", "sq": "weight_sq"}
-
-
-@register_compile_rule(QuadraticConv2d, HybridQuadraticConv2d,
-                       HybridQuadraticConv2dT4, HybridQuadraticConv2dFan)
-def _compile_quadratic_conv(module: Module, compiler: _Compiler) -> List[Step]:
+def _compile_quadratic_conv(op: Op, build: _FloatBuild) -> Step:
     """Fused quadratic convolution: one im2col shared by every projection.
 
     Eager evaluation lowers the input to columns once per weight set (three
@@ -664,26 +569,27 @@ def _compile_quadratic_conv(module: Module, compiler: _Compiler) -> List[Step]:
     element-wise kernels — identical arithmetic, a third of the memory
     traffic, zero graph nodes.
     """
-    be = compiler.backend
-    pool = compiler.pool
+    module = op.module
+    be = build.backend
+    pool = build.pool
     required = REQUIRED_RESPONSES[module.neuron_type]
-    stride, padding, groups = _conv_geometry(module)
+    stride, padding, groups = module.stride, module.padding, module.groups
     kh, kw = module.kernel_size
     f = module.out_channels
     c_g = module.in_channels // groups
     patch = c_g * kh * kw
     wmats = {
-        kind: getattr(module, _WEIGHT_ATTRS[kind]).data.reshape(groups, f // groups, patch)
+        kind: getattr(module, f"weight_{kind}").data.reshape(groups, f // groups, patch)
         for kind in required if kind != "id"
     }
     bias = (module.bias.data.reshape(1, f, 1, 1)
             if module.bias is not None else None)
-    key = compiler.next_key()
-    cols_key = compiler.planner.scratch(key, "cols")
-    sq_cols_key = compiler.planner.scratch(key, "sq_cols")
-    proj_keys = {kind: compiler.planner.scratch(key, f"proj_{kind}")
+    key = build.next_key()
+    cols_key = build.planner.scratch(key, "cols")
+    sq_cols_key = build.planner.scratch(key, "sq_cols")
+    proj_keys = {kind: build.planner.scratch(key, f"proj_{kind}")
                  for kind in wmats}
-    out_key = compiler.planner.activation(key)
+    out_key = build.planner.activation(key)
     neuron_type = module.neuron_type
     dispatch_cache: dict = {}
 
@@ -716,28 +622,28 @@ def _compile_quadratic_conv(module: Module, compiler: _Compiler) -> List[Step]:
             be.add(out, bias, out=out)
         return out
 
-    return [quadratic_conv_step]
+    return quadratic_conv_step
 
 
-@register_compile_rule(QuadraticLinear, HybridQuadraticLinear)
-def _compile_quadratic_linear(module: Module, compiler: _Compiler) -> List[Step]:
+def _compile_quadratic_linear(op: Op, build: _FloatBuild) -> Step:
     """Fused dense quadratic layer (all composable types; T1 falls back)."""
+    module = op.module
     required = REQUIRED_RESPONSES[module.neuron_type]
     if "bilinear" in required:
         # The full-rank T1 family keeps its eager einsum path.
-        return [compiler.fallback(module)]
-    be = compiler.backend
-    pool = compiler.pool
+        return build.fallback(module)
+    be = build.backend
+    pool = build.pool
     weights_t = {
-        kind: getattr(module, _WEIGHT_ATTRS[kind]).data.T
+        kind: getattr(module, f"weight_{kind}").data.T
         for kind in required if kind != "id"
     }
     bias = module.bias.data if module.bias is not None else None
-    key = compiler.next_key()
-    sq_key = compiler.planner.scratch(key, "x_sq")
-    proj_keys = {kind: compiler.planner.scratch(key, f"qlin_{kind}")
+    key = build.next_key()
+    sq_key = build.planner.scratch(key, "x_sq")
+    proj_keys = {kind: build.planner.scratch(key, f"qlin_{kind}")
                  for kind in weights_t}
-    out_key = compiler.planner.activation(key)
+    out_key = build.planner.activation(key)
     neuron_type = module.neuron_type
     out_features = module.out_features
 
@@ -760,47 +666,61 @@ def _compile_quadratic_linear(module: Module, compiler: _Compiler) -> List[Step]
             be.add(out, bias, out=out)
         return out
 
-    return [quadratic_linear_step]
+    return quadratic_linear_step
 
 
 # --------------------------------------------------------------------------- #
-# Residual blocks (registered here so the zoo stays free of compiler imports)
+# Residual blocks
 # --------------------------------------------------------------------------- #
 
-def _register_block_rules() -> None:
-    from ..models.mobilenet import DepthwiseSeparableBlock
-    from ..models.resnet import BasicBlock
+def _compile_residual(op: Op, build: _FloatBuild) -> Step:
+    main_plan, shortcut_plan, after_plan = op.plans
+    # The block's input stays live across the whole inner chain (it feeds
+    # the shortcut and the residual add), which breaks the straight-line
+    # liveness the activation arenas rely on — pin the region so its
+    # steps keep private buffers.
+    with build.planner.pinned():
+        main = build.emit(main_plan)
+        shortcut = build.emit(shortcut_plan)
+    after = build.emit(after_plan)
 
-    @register_compile_rule(BasicBlock)
-    def _compile_basic_block(module: BasicBlock, compiler: _Compiler) -> List[Step]:
-        # The block's input stays live across the whole inner chain (it feeds
-        # the shortcut and the residual add), which breaks the straight-line
-        # liveness the activation arenas rely on — pin the region so its
-        # steps keep private buffers.
-        with compiler.planner.pinned():
-            main = compiler.compile_chain(
-                [module.conv1, module.bn1, module.relu, module.conv2, module.bn2])
-            shortcut = compiler.compile_module(module.shortcut)
-        final_relu = compiler.compile_module(module.relu)
+    def basic_block_step(x: np.ndarray) -> np.ndarray:
+        out = x
+        for step in main:
+            out = step(out)
+        residual = x
+        for step in shortcut:
+            residual = step(residual)
+        out = out + residual
+        for step in after:
+            out = step(out)
+        return out
 
-        def basic_block_step(x: np.ndarray) -> np.ndarray:
-            out = x
-            for step in main:
-                out = step(out)
-            residual = x
-            for step in shortcut:
-                residual = step(residual)
-            out = out + residual
-            for step in final_relu:
-                out = step(out)
-            return out
-
-        return [basic_block_step]
-
-    @register_compile_rule(DepthwiseSeparableBlock)
-    def _compile_dw_block(module: DepthwiseSeparableBlock, compiler: _Compiler) -> List[Step]:
-        return compiler.compile_chain([module.depthwise, module.bn1, module.relu,
-                                       module.pointwise, module.bn2, module.relu])
+    return basic_block_step
 
 
-_register_block_rules()
+#: op kind -> emitter(op, build) -> step.  Kinds missing here run eagerly.
+_EMITTERS: Dict[str, Callable[[Op, _FloatBuild], Step]] = {
+    "linear": _compile_linear,
+    "conv": _compile_conv2d,
+    "batchnorm": _compile_batchnorm,
+    "frozen_batchnorm": _compile_frozen_batchnorm,
+    "layernorm": _compile_layernorm,
+    "relu": _compile_relu,
+    "leaky_relu": _compile_leaky_relu,
+    "sigmoid": _compile_sigmoid,
+    "tanh": _compile_tanh,
+    "gelu": _compile_gelu,
+    "softmax": _compile_softmax,
+    "square": _compile_square,
+    "flatten": _compile_flatten,
+    "zeropad": _compile_zeropad,
+    "upsample": _compile_upsample,
+    "maxpool": _compile_maxpool,
+    "avgpool": _compile_avgpool,
+    "adaptive_avgpool": _compile_adaptive_avgpool,
+    "global_avgpool": _compile_global_avgpool,
+    "quadratic_conv": _compile_quadratic_conv,
+    "quadratic_linear": _compile_quadratic_linear,
+    "residual": _compile_residual,
+}

@@ -1,9 +1,10 @@
 """Graph-level optimizer over inference plans.
 
-The compiler lowers a module tree chain by chain (``inference_plan()``
-stages, ``Sequential`` bodies, residual-block innards).  Before a chain is
-translated into steps, :func:`optimize_plan` rewrites it at the *module*
-level — where layer adjacency is still visible — with four passes:
+:func:`repro.inference.lowering.lower` flattens a module tree chain by
+chain (``inference_plan()`` stages, ``Sequential`` bodies, residual-block
+innards).  Before a chain is flattened into ops, :func:`optimize_plan`
+rewrites it at the *module* level — where layer adjacency is still visible
+— with four passes:
 
 1. **Dead-layer elimination** — ``Identity``, evaluation-mode ``Dropout``,
    all-zero ``ZeroPad2d`` and scale-1 ``UpsampleNearest2d`` disappear from
@@ -39,25 +40,16 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..nn.containers import Sequential
-from ..nn.layers.activations import Identity
 from ..nn.layers.conv import Conv2d
-from ..nn.layers.misc import Dropout, UpsampleNearest2d, ZeroPad2d
 from ..nn.layers.normalization import BatchNorm2d, _BatchNorm
 from ..nn.module import Module
-from ..quadratic.layers.hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-)
-from ..quadratic.layers.qconv import QuadraticConv2d
 
 #: Optimization levels accepted by ``compile_model(optimize=...)``.
 #: ``True`` maps to ``"default"`` and ``False`` to ``"none"``.
 OPT_LEVELS = ("none", "default", "full")
 
-#: Layers with a ``padding`` attribute an upstream ZeroPad2d can fold into.
-_PADDABLE_CONVS = (Conv2d, QuadraticConv2d, HybridQuadraticConv2d,
-                   HybridQuadraticConv2dT4, HybridQuadraticConv2dFan)
+#: Layer kinds with a ``padding`` attribute an upstream ZeroPad2d can fold into.
+_PADDABLE_KINDS = ("conv", "quadratic_conv")
 
 
 def normalize_level(optimize: Union[str, bool, None]) -> str:
@@ -109,9 +101,9 @@ class FrozenBatchNorm(Module):
     """A BatchNorm with its per-call constants precomputed at compile time.
 
     Holds copies of the running statistics with ``inv_std`` already raised
-    to the ``-0.5`` — the quantities the BatchNorm compile rule recomputes
+    to the ``-0.5`` — the quantities the BatchNorm emitter recomputes
     on every forward.  The compiled step applies them in the exact operation
-    order of the live rule (subtract, multiply, multiply, add), so freezing
+    order of the live step (subtract, multiply, multiply, add), so freezing
     is bit-exact; only the *liveness* changes (in-place edits to the source
     module's statistics after compilation are no longer observed).
 
@@ -146,16 +138,19 @@ def _has_hooks(module: Module) -> bool:
     return bool(module._forward_hooks)
 
 
+def _kind(module: Module):
+    from .lowering import kind_of  # lazy: the lowering drives this module
+
+    return kind_of(module)
+
+
 def _is_dead(module: Module) -> bool:
     if _has_hooks(module):
         return False
-    if isinstance(module, (Identity, Dropout)):
-        return True
-    if isinstance(module, ZeroPad2d) and not any(module.padding):
-        return True
-    if isinstance(module, UpsampleNearest2d) and module.scale_factor == 1:
-        return True
-    return False
+    kind = _kind(module)
+    return (kind == "noop"
+            or (kind == "zeropad" and not any(module.padding))
+            or (kind == "upsample" and module.scale_factor == 1))
 
 
 def _flatten(modules: Sequence[Module]) -> List[Module]:
@@ -175,8 +170,8 @@ def _fold_padding(modules: List[Module], report: OptimizationReport) -> List[Mod
     while index < len(modules):
         module = modules[index]
         nxt = modules[index + 1] if index + 1 < len(modules) else None
-        if (isinstance(module, ZeroPad2d) and not _has_hooks(module)
-                and isinstance(nxt, _PADDABLE_CONVS) and not _has_hooks(nxt)):
+        if (_kind(module) == "zeropad" and not _has_hooks(module)
+                and _kind(nxt) in _PADDABLE_KINDS and not _has_hooks(nxt)):
             left, right, top, bottom = module.padding
             if left == right and top == bottom:
                 # A shallow copy shares the weight arrays (in-place updates

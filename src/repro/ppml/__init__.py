@@ -82,7 +82,6 @@ from .runtime import (
     SecureExecutionError,
     SecurePredictor,
     SecureStats,
-    register_secure_rule,
     secure_compile,
 )
 from .trace import (
@@ -136,7 +135,6 @@ __all__ = [
     "SecureStats",
     "SecureExecutionError",
     "secure_compile",
-    "register_secure_rule",
     "OfflineBudget",
     "OfflinePhase",
     "TriplePool",

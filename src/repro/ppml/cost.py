@@ -1,7 +1,8 @@
 """Operation counting and PPML cost estimation for whole models.
 
-The analysis walks a model once with a probe input, records the output shape
-of every leaf layer, and classifies each layer into the three online
+The analysis walks a model once with a probe input
+(:func:`repro.inference.lowering.probe_leaves`), records the shapes of every
+leaf layer's calls, and counts each layer by its kind into the three online
 primitives a hybrid PPML protocol distinguishes:
 
 * ``macs`` — multiply-accumulates inside linear / convolution layers
@@ -26,18 +27,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..autodiff import no_grad
-from ..autodiff.tensor import Tensor
-from ..nn.layers.activations import GELU, LeakyReLU, ReLU, Sigmoid, Square, Tanh
-from ..nn.layers.conv import Conv2d
-from ..nn.layers.linear import Linear
-from ..nn.layers.normalization import BatchNorm1d, BatchNorm2d, LayerNorm
-from ..nn.layers.pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from ..autodiff.ops.conv import _pair
+from ..inference.lowering import probe_leaves
 from ..nn.module import Module
 from ..quadratic.functional import REQUIRED_RESPONSES
-from ..quadratic.layers.hybrid import HybridQuadraticConv2d, HybridQuadraticLinear
-from ..quadratic.layers.qconv import QuadraticConv2d, QuadraticConv2dT1
-from ..quadratic.layers.qlinear import QuadraticLinear
 from ..utils.logging import format_table
 from .protocols import Protocol, ProtocolCost, resolve_protocol
 
@@ -166,60 +159,71 @@ def _quadratic_mult_ops(neuron_type: str, out_elements: int, in_elements: int) -
     return mult_ops
 
 
-def _classify(module: Module, out_shape: Tuple[int, ...],
-              in_shape: Tuple[int, ...] = ()) -> Optional[LayerOperations]:
-    """Operation counts of one leaf module, or ``None`` for cost-free layers."""
-    elements = _elements(out_shape)
-    type_name = type(module).__name__
+def _weights(module: Module) -> list:
+    return [p for name, p in module._parameters.items() if name.startswith("weight")]
 
-    if isinstance(module, Conv2d):
-        return LayerOperations("", type_name, macs=_conv_macs(out_shape, module.weight.shape),
-                               output_shape=out_shape)
-    if isinstance(module, Linear):
-        batch = _elements(out_shape[:-1])
-        return LayerOperations("", type_name,
-                               macs=module.in_features * module.out_features * batch,
-                               output_shape=out_shape)
-    if isinstance(module, (QuadraticConv2d, HybridQuadraticConv2d)):
-        weight_names = [n for n in module._parameters if n.startswith("weight")]
-        weight = module._parameters[weight_names[0]]
-        macs = len(weight_names) * _conv_macs(out_shape, weight.shape)
-        mult_ops = _quadratic_mult_ops(module.neuron_type, elements, _elements(in_shape))
-        return LayerOperations("", type_name, macs=macs, mult_ops=mult_ops,
-                               output_shape=out_shape)
-    if isinstance(module, QuadraticConv2dT1):
-        n, f, oh, ow = out_shape
-        patch = module.patch_size
-        return LayerOperations("", type_name, macs=n * f * patch * patch * oh * ow,
-                               mult_ops=elements, output_shape=out_shape)
-    if isinstance(module, (QuadraticLinear, HybridQuadraticLinear)):
-        weight_names = [n for n in module._parameters if n.startswith("weight")]
-        batch = _elements(out_shape[:-1])
-        macs = len(weight_names) * module.in_features * module.out_features * batch
-        mult_ops = _quadratic_mult_ops(module.neuron_type, elements, _elements(in_shape))
-        return LayerOperations("", type_name, macs=macs, mult_ops=mult_ops,
-                               output_shape=out_shape)
-    if isinstance(module, Square):
-        return LayerOperations("", type_name, mult_ops=elements, output_shape=out_shape)
-    if isinstance(module, (ReLU, LeakyReLU)):
-        return LayerOperations("", type_name, relu_ops=elements, output_shape=out_shape)
-    if isinstance(module, (GELU, Sigmoid, Tanh)):
-        # Smooth non-polynomial activations are at least as expensive as a
-        # garbled comparison in every published protocol; count them as such.
-        return LayerOperations("", type_name, relu_ops=elements, output_shape=out_shape)
-    if isinstance(module, MaxPool2d):
-        k = module.kernel_size if isinstance(module.kernel_size, int) else module.kernel_size[0]
-        comparisons = elements * max(k * k - 1, 1)
-        return LayerOperations("", type_name, relu_ops=comparisons, output_shape=out_shape)
-    if isinstance(module, (AvgPool2d, AdaptiveAvgPool2d, GlobalAvgPool2d)):
-        # Window sums are linear; the division by the (public) window size is
-        # one scalar multiplication per output element.
-        return LayerOperations("", type_name, macs=elements, output_shape=out_shape)
-    if isinstance(module, (BatchNorm1d, BatchNorm2d, LayerNorm)):
-        # At inference BatchNorm folds into the preceding linear layer; LayerNorm
-        # costs one MAC per element online.
-        return LayerOperations("", type_name, macs=elements, output_shape=out_shape)
-    return None
+
+def _quadratic_conv(module, in_shape, out_shape) -> Dict[str, int]:
+    weights = _weights(module)
+    return {"macs": len(weights) * _conv_macs(out_shape, weights[0].shape),
+            "mult_ops": _quadratic_mult_ops(module.neuron_type, _elements(out_shape),
+                                            _elements(in_shape))}
+
+
+def _bilinear_conv(module, in_shape, out_shape) -> Dict[str, int]:
+    n, f, oh, ow = out_shape
+    patch = module.patch_size
+    return {"macs": n * f * patch * patch * oh * ow, "mult_ops": _elements(out_shape)}
+
+
+def _quadratic_linear(module, in_shape, out_shape) -> Dict[str, int]:
+    batch = _elements(out_shape[:-1])
+    return {"macs": len(_weights(module)) * module.in_features * module.out_features * batch,
+            "mult_ops": _quadratic_mult_ops(module.neuron_type, _elements(out_shape),
+                                            _elements(in_shape))}
+
+
+def _maxpool(module, in_shape, out_shape) -> Dict[str, int]:
+    kh, kw = _pair(module.kernel_size)
+    return {"relu_ops": _elements(out_shape) * max(kh * kw - 1, 1)}
+
+
+def _comparisons(module, in_shape, out_shape) -> Dict[str, int]:
+    # One garbled comparison per element.  Smooth non-polynomial activations
+    # are at least as expensive in every published protocol; count them so.
+    return {"relu_ops": _elements(out_shape)}
+
+
+def _per_element_mac(module, in_shape, out_shape) -> Dict[str, int]:
+    # Average pools: window sums are linear, the division by the (public)
+    # window size is one scalar multiplication per output element.  At
+    # inference BatchNorm folds into an affine map; LayerNorm costs one MAC
+    # per element online.
+    return {"macs": _elements(out_shape)}
+
+
+#: layer kind -> counts of one call, from its input and output shapes.
+#: Kinds missing here (softmax, shape plumbing, ...) are cost-free.
+_COUNTERS = {
+    "conv": lambda m, i, o: {"macs": _conv_macs(o, m.weight.shape)},
+    "linear": lambda m, i, o: {"macs": m.in_features * m.out_features
+                               * _elements(o[:-1])},
+    "quadratic_conv": _quadratic_conv,
+    "bilinear_conv": _bilinear_conv,
+    "quadratic_linear": _quadratic_linear,
+    "square": lambda m, i, o: {"mult_ops": _elements(o)},
+    "relu": _comparisons,
+    "leaky_relu": _comparisons,
+    "gelu": _comparisons,
+    "sigmoid": _comparisons,
+    "tanh": _comparisons,
+    "maxpool": _maxpool,
+    "avgpool": _per_element_mac,
+    "adaptive_avgpool": _per_element_mac,
+    "global_avgpool": _per_element_mac,
+    "batchnorm": _per_element_mac,
+    "layernorm": _per_element_mac,
+}
 
 
 def count_operations(model: Module, input_shape: Tuple[int, int, int],
@@ -237,57 +241,24 @@ def count_operations(model: Module, input_shape: Tuple[int, int, int],
         default of 1 matches the usual reporting convention.  Every count
         (MACs included) scales linearly with the batch, matching what the
         secure runtime measures on a batched execution.
+
+    Each leaf is counted once per *invocation*: a module shared across call
+    sites (a residual block's ReLU fires twice per forward) costs the
+    protocol once per application, not once per Python object.
     """
-    invocations: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
-    removers = []
-    leaf_modules: List[Tuple[str, Module]] = []
-    for name, module in model.named_modules():
-        if module._modules:
-            continue
-        leaf_modules.append((name, module))
-
-        def make_hook(module_id: int):
-            def hook(_module, inputs, output):
-                if isinstance(output, Tensor):
-                    # One entry per *invocation*: a module shared across call
-                    # sites (a residual block's ReLU fires twice per forward)
-                    # costs the protocol once per application, not once per
-                    # Python object.  The input shape sizes the squared-input
-                    # projections of T2-style quadratic designs.
-                    in_shape = (inputs[0].shape
-                                if inputs and isinstance(inputs[0], Tensor) else ())
-                    invocations.setdefault(module_id, []).append((in_shape, output.shape))
-            return hook
-
-        removers.append(module.register_forward_hook(make_hook(id(module))))
-
-    probe = Tensor(np.zeros((batch_size,) + tuple(input_shape), dtype=np.float32))
-    was_training = model.training
-    model.train(False)
-    with no_grad():
-        model(probe)
-    model.train(was_training)
-    for remove in removers:
-        remove()
-
     operations: List[LayerOperations] = []
-    for name, module in leaf_modules:
-        merged: Optional[LayerOperations] = None
-        for in_shape, out_shape in invocations.get(id(module), []):
-            counted = _classify(module, out_shape, in_shape)
-            if counted is None:
-                break
-            if merged is None:
-                merged = counted
-            else:
-                merged.macs += counted.macs
-                merged.relu_ops += counted.relu_ops
-                merged.mult_ops += counted.mult_ops
-                merged.output_shape = counted.output_shape
-                merged.calls += 1
-        if merged is None:
+    for leaf in probe_leaves(model, input_shape, batch_size):
+        counter = _COUNTERS.get(leaf.kind)
+        if counter is None or not leaf.calls:
             continue
-        merged.name = name
+        merged = LayerOperations(leaf.name, type(leaf.module).__name__, calls=0)
+        for in_shape, out_shape in leaf.calls:
+            counts = counter(leaf.module, in_shape, out_shape)
+            merged.macs += counts.get("macs", 0)
+            merged.relu_ops += counts.get("relu_ops", 0)
+            merged.mult_ops += counts.get("mult_ops", 0)
+            merged.output_shape = out_shape
+            merged.calls += 1
         operations.append(merged)
     return operations
 

@@ -2,11 +2,11 @@
 
 :mod:`repro.ppml.cost` predicts what a privacy-preserving deployment would
 pay; this module *runs* the model the way a hybrid protocol would and
-measures it.  :func:`secure_compile` lowers a module tree — reusing the
-traversal scheme of :mod:`repro.inference.compiler` (compile rules resolved
-through the MRO, ``inference_plan()`` flattening, a shared
-:class:`~repro.inference.buffers.BufferPool` for scratch space) — into a
-flat list of *fixed-point* steps:
+measures it.  :func:`secure_compile` takes the model's one lowering
+(:func:`repro.inference.lowering.lower`, the same kind-tagged op list the
+float compiler interprets) and runs every op through this module's
+``{kind: emitter}`` table, which emits a flat list of *fixed-point* steps
+sharing one :class:`~repro.inference.buffers.BufferPool` for scratch space:
 
 * every activation is an ``int64`` array at scale ``2^f``
   (:mod:`repro.ppml.fixedpoint`), truncated after each multiplication with
@@ -49,38 +49,15 @@ to float execution, because that would fabricate trace entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..autodiff.ops.conv import conv_output_size, im2col
+from ..autodiff.ops.conv import _pair, conv_output_size, im2col
 from ..inference.buffers import BufferPool
-from ..nn.containers import Sequential
-from ..nn.layers.activations import (
-    GELU,
-    Identity,
-    LeakyReLU,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Square,
-    Tanh,
-)
-from ..nn.layers.conv import Conv2d, DepthwiseSeparableConv2d
-from ..nn.layers.linear import Linear
-from ..nn.layers.misc import Dropout, Flatten, UpsampleNearest2d, ZeroPad2d
-from ..nn.layers.normalization import LayerNorm, _BatchNorm
-from ..nn.layers.pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from ..inference.lowering import EXPANDED_KINDS, KINDS, Op, lower
 from ..nn.module import Module
 from ..quadratic.functional import REQUIRED_RESPONSES
-from ..quadratic.layers.hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-    HybridQuadraticLinear,
-)
-from ..quadratic.layers.qconv import QuadraticConv2d, QuadraticConv2dT1
-from ..quadratic.layers.qlinear import QuadraticLinear
 from ..utils.deprecation import warn_deprecated
 from .fixedpoint import FixedPointFormat, decode, encode, truncate
 from .protocols import Protocol, resolve_protocol
@@ -151,34 +128,13 @@ class _SecureContext:
 #: One secure step: int64 scale-f activations in, int64 scale-f activations out.
 SecureStep = Callable[[np.ndarray, _SecureContext], np.ndarray]
 
-#: module type -> rule(module, compiler) -> list of secure steps.
-_SECURE_RULES: Dict[Type[Module], Callable] = {}
 
+class _SecureBuild:
+    """Emission state: the number format, the buffer pool and step counter."""
 
-def register_secure_rule(*module_types: Type[Module]):
-    """Register a fixed-point lowering rule for one or more layer classes.
-
-    Mirrors :func:`repro.inference.compiler.register_compile_rule`: the rule
-    receives ``(module, compiler)``, returns the step list, and is resolved
-    through the module's MRO so base-class rules cover subclasses.
-    """
-
-    def _register(fn: Callable) -> Callable:
-        for module_type in module_types:
-            _SECURE_RULES[module_type] = fn
-        return fn
-
-    return _register
-
-
-class _SecureCompiler:
-    """Tree walker emitting fixed-point steps; carries names and the pool."""
-
-    def __init__(self, fmt: FixedPointFormat, pool: BufferPool,
-                 names: Dict[int, str]) -> None:
+    def __init__(self, fmt: FixedPointFormat, pool: BufferPool) -> None:
         self.fmt = fmt
         self.pool = pool
-        self.names = names
         self._step_index = 0
 
     def next_key(self) -> Tuple[str, int]:
@@ -190,9 +146,6 @@ class _SecureCompiler:
         self._step_index += 1
         return ("ppml", self._step_index)
 
-    def name_of(self, module: Module) -> str:
-        return self.names.get(id(module), type(module).__name__)
-
     def encode_weight(self, array: np.ndarray) -> np.ndarray:
         """Quantize a parameter to the runtime's scale (snapshot at compile time)."""
         return encode(array, self.fmt.frac_bits)
@@ -202,26 +155,23 @@ class _SecureCompiler:
         accumulators without its own rounding step."""
         return encode(array, 2 * self.fmt.frac_bits)
 
-    # -------------------------------------------------------------- traversal
-    def compile_module(self, module: Module) -> List[SecureStep]:
-        if isinstance(module, Sequential):
-            return self.compile_chain(module)
-        plan = getattr(module, "inference_plan", None)
-        if callable(plan):
-            return self.compile_chain(plan())
-        for klass in type(module).__mro__:
-            rule = _SECURE_RULES.get(klass)
-            if rule is not None:
-                return list(rule(module, self))
-        raise SecureExecutionError(
-            f"no secure lowering for {type(module).__name__} "
-            f"(layer '{self.name_of(module)}'); the secure runtime supports: "
-            f"{', '.join(sorted(set(cls.__name__ for cls in _SECURE_RULES)))}")
-
-    def compile_chain(self, modules) -> List[SecureStep]:
+    def emit(self, ops: Sequence[Op]) -> List[SecureStep]:
         steps: List[SecureStep] = []
-        for module in modules:
-            steps.extend(self.compile_module(module))
+        for op in ops:
+            if op.kind == "hooked":
+                # Hooks observe eager float activations; a secure forward
+                # has none to show them, so it runs the module's body.
+                steps.extend(self.emit(op.plans[0]))
+                continue
+            emitter = _SECURE_EMITTERS.get(op.kind)
+            if emitter is None:
+                supported = sorted(cls.__name__ for cls, kind in KINDS.items()
+                                   if kind in _SECURE_EMITTERS or kind in EXPANDED_KINDS)
+                raise SecureExecutionError(
+                    f"no secure lowering for {type(op.module).__name__} "
+                    f"(layer '{op.name}'); the secure runtime supports: "
+                    f"{', '.join(supported)}")
+            steps.append(emitter(op, self))
         return steps
 
 
@@ -309,11 +259,9 @@ def secure_compile(model: Module, config: Optional[SecureConfig] = None,
     execute (or that this runtime does not model); see the module docstring.
     """
     cfg = config if config is not None else SecureConfig()
-    names = {id(module): name for name, module in model.named_modules()}
-    compiler = _SecureCompiler(cfg.fixed_point(), pool if pool is not None else BufferPool(),
-                               names)
-    steps = compiler.compile_module(model)
-    return SecureCompiledModel(model, steps, compiler.pool, cfg)
+    build = _SecureBuild(cfg.fixed_point(), pool if pool is not None else BufferPool())
+    steps = build.emit(lower(model))
+    return SecureCompiledModel(model, steps, build.pool, cfg)
 
 
 @dataclass
@@ -465,7 +413,7 @@ class SecurePredictor:
 
 
 # --------------------------------------------------------------------------- #
-# Shared lowering helpers
+# Shared emission helpers
 # --------------------------------------------------------------------------- #
 
 def _int_project(cols: np.ndarray, wq: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -473,23 +421,25 @@ def _int_project(cols: np.ndarray, wq: np.ndarray, out: np.ndarray) -> np.ndarra
     return np.matmul(wq, cols, out=out)
 
 
-def _conv_geometry(module) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
-    return module.stride, module.padding, getattr(module, "groups", 1)
-
-
 def _conv_macs(n: int, groups: int, f_g: int, patch: int, positions: int) -> int:
     return n * groups * f_g * patch * positions
+
+
+def _refuse_bilinear(op: Op, build: _SecureBuild) -> SecureStep:
+    raise SecureExecutionError(
+        f"full-rank bilinear (T1-family) layers are not supported by the "
+        f"secure runtime (layer '{op.name}'): the X^T W X term has no cheap "
+        f"secret-shared evaluation — convert to a composable design first")
 
 
 # --------------------------------------------------------------------------- #
 # First-order layers
 # --------------------------------------------------------------------------- #
 
-@register_secure_rule(Linear)
-def _secure_linear(module: Linear, compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
-    wq_t = compiler.encode_weight(module.weight.data.T)
-    bias_q = (compiler.encode_bias(module.bias.data)
+def _secure_linear(op: Op, build: _SecureBuild) -> SecureStep:
+    module, name = op.module, op.name
+    wq_t = build.encode_weight(module.weight.data.T)
+    bias_q = (build.encode_bias(module.bias.data)
               if module.bias is not None else None)
     in_features, out_features = module.in_features, module.out_features
 
@@ -504,19 +454,18 @@ def _secure_linear(module: Linear, compiler: _SecureCompiler) -> List[SecureStep
                    truncations=out.size, rounds=ROUNDS_LINEAR)
         return out
 
-    return [linear_step]
+    return linear_step
 
 
-@register_secure_rule(Conv2d)
-def _secure_conv2d(module: Conv2d, compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
-    stride, padding, groups = _conv_geometry(module)
+def _secure_conv2d(op: Op, build: _SecureBuild) -> SecureStep:
+    module, name = op.module, op.name
+    stride, padding, groups = module.stride, module.padding, module.groups
     f, c_g, kh, kw = module.weight.shape
-    wq = compiler.encode_weight(module.weight.data).reshape(groups, f // groups,
-                                                            c_g * kh * kw)
-    bias_q = (compiler.encode_bias(module.bias.data).reshape(1, f, 1, 1)
+    wq = build.encode_weight(module.weight.data).reshape(groups, f // groups,
+                                                         c_g * kh * kw)
+    bias_q = (build.encode_bias(module.bias.data).reshape(1, f, 1, 1)
               if module.bias is not None else None)
-    key = compiler.next_key()
+    key = build.next_key()
 
     def conv_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         n, c, h, w = q.shape
@@ -537,18 +486,11 @@ def _secure_conv2d(module: Conv2d, compiler: _SecureCompiler) -> List[SecureStep
                    truncations=out.size, rounds=ROUNDS_LINEAR)
         return out
 
-    return [conv_step]
+    return conv_step
 
 
-@register_secure_rule(DepthwiseSeparableConv2d)
-def _secure_depthwise_separable(module: DepthwiseSeparableConv2d,
-                                compiler: _SecureCompiler) -> List[SecureStep]:
-    return compiler.compile_chain([module.depthwise, module.pointwise])
-
-
-@register_secure_rule(_BatchNorm)
-def _secure_batchnorm(module: _BatchNorm, compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
+def _secure_batchnorm(op: Op, build: _SecureBuild) -> SecureStep:
+    module, name = op.module, op.name
     if not module.track_running_stats:
         raise SecureExecutionError(
             f"batch normalisation without running statistics (layer '{name}') "
@@ -558,8 +500,8 @@ def _secure_batchnorm(module: _BatchNorm, compiler: _SecureCompiler) -> List[Sec
     inv_std = 1.0 / np.sqrt(module.running_var + module.eps)
     scale = inv_std * (module.weight.data if module.affine else 1.0)
     shift = -module.running_mean * scale + (module.bias.data if module.affine else 0.0)
-    scale_q = compiler.encode_weight(scale)
-    shift_q = compiler.encode_bias(shift)
+    scale_q = build.encode_weight(scale)
+    shift_q = build.encode_bias(shift)
     type_name = type(module).__name__
 
     def batchnorm_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
@@ -571,13 +513,12 @@ def _secure_batchnorm(module: _BatchNorm, compiler: _SecureCompiler) -> List[Sec
                    truncations=out.size, rounds=0)
         return out
 
-    return [batchnorm_step]
+    return batchnorm_step
 
 
-@register_secure_rule(LayerNorm)
-def _secure_layernorm(module: LayerNorm, compiler: _SecureCompiler) -> List[SecureStep]:
+def _secure_layernorm(op: Op, build: _SecureBuild) -> SecureStep:
     raise SecureExecutionError(
-        f"LayerNorm (layer '{compiler.name_of(module)}') needs a secure inverse "
+        f"LayerNorm (layer '{op.name}') needs a secure inverse "
         f"square root, which no supported protocol provides as a cheap "
         f"primitive; fold or remove it before secure compilation")
 
@@ -586,22 +527,20 @@ def _secure_layernorm(module: LayerNorm, compiler: _SecureCompiler) -> List[Secu
 # Activations
 # --------------------------------------------------------------------------- #
 
-@register_secure_rule(ReLU)
-def _secure_relu(module: ReLU, compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
+def _secure_relu(op: Op, build: _SecureBuild) -> SecureStep:
+    name = op.name
 
     def relu_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         out = np.maximum(q, 0)            # exact comparison on fixed point
         ctx.record(name, "ReLU", out.shape, relu_ops=out.size, rounds=ROUNDS_GARBLED)
         return out
 
-    return [relu_step]
+    return relu_step
 
 
-@register_secure_rule(LeakyReLU)
-def _secure_leaky_relu(module: LeakyReLU, compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
-    slope_q = int(encode(np.asarray(module.negative_slope), compiler.fmt.frac_bits))
+def _secure_leaky_relu(op: Op, build: _SecureBuild) -> SecureStep:
+    name = op.name
+    slope_q = int(encode(np.asarray(op.module.negative_slope), build.fmt.frac_bits))
 
     def leaky_relu_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         negative = ctx.truncate(q * slope_q)        # public-constant multiply
@@ -610,11 +549,11 @@ def _secure_leaky_relu(module: LeakyReLU, compiler: _SecureCompiler) -> List[Sec
                    truncations=out.size, rounds=ROUNDS_GARBLED)
         return out
 
-    return [leaky_relu_step]
+    return leaky_relu_step
 
 
 def _garbled_function(fn, type_label: str):
-    """Lowering for smooth activations evaluated inside a garbled circuit.
+    """Emitter for smooth activations evaluated inside a garbled circuit.
 
     A garbled circuit can evaluate an arbitrary fixed-point function table;
     the cost model (like the static one) charges one comparison-equivalent
@@ -623,8 +562,8 @@ def _garbled_function(fn, type_label: str):
     format would output, up to its final rounding.
     """
 
-    def rule(module: Module, compiler: _SecureCompiler) -> List[SecureStep]:
-        name = compiler.name_of(module)
+    def emitter(op: Op, build: _SecureBuild) -> SecureStep:
+        name = op.name
 
         def garbled_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
             out = encode(fn(decode(q, ctx.fmt.frac_bits)), ctx.fmt.frac_bits)
@@ -632,23 +571,14 @@ def _garbled_function(fn, type_label: str):
                        rounds=ROUNDS_GARBLED)
             return out
 
-        return [garbled_step]
+        return garbled_step
 
-    return rule
-
-
-register_secure_rule(Sigmoid)(_garbled_function(
-    lambda x: 1.0 / (1.0 + np.exp(-x)), "Sigmoid"))
-register_secure_rule(Tanh)(_garbled_function(np.tanh, "Tanh"))
-register_secure_rule(GELU)(_garbled_function(
-    lambda x: 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
-                                       * (x + 0.044715 * x * x * x))), "GELU"))
+    return emitter
 
 
-@register_secure_rule(Softmax)
-def _secure_softmax(module: Softmax, compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
-    axis = module.axis
+def _secure_softmax(op: Op, build: _SecureBuild) -> SecureStep:
+    name = op.name
+    axis = op.module.axis
 
     def softmax_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         # The client decrypts the logits and normalises locally — standard in
@@ -661,13 +591,12 @@ def _secure_softmax(module: Softmax, compiler: _SecureCompiler) -> List[SecureSt
         ctx.record(name, "Softmax", out.shape, rounds=0)
         return out
 
-    return [softmax_step]
+    return softmax_step
 
 
-@register_secure_rule(Square)
-def _secure_square(module: Square, compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
-    frac_bits = compiler.fmt.frac_bits
+def _secure_square(op: Op, build: _SecureBuild) -> SecureStep:
+    module, name = op.module, op.name
+    frac_bits = build.fmt.frac_bits
     scale_q = int(encode(np.asarray(module.scale), frac_bits))
     linear_q = int(encode(np.asarray(module.linear), frac_bits))
     plain_square = module.scale == 1.0 and not module.linear
@@ -687,66 +616,58 @@ def _secure_square(module: Square, compiler: _SecureCompiler) -> List[SecureStep
                    truncations=truncations, rounds=ROUNDS_MULT)
         return out
 
-    return [square_step]
+    return square_step
 
 
-@register_secure_rule(Identity, Dropout)
-def _secure_noop(module: Module, compiler: _SecureCompiler) -> List[SecureStep]:
-    # Dropout is the identity in evaluation mode; both are share-local.
-    return []
-
-
-@register_secure_rule(Flatten)
-def _secure_flatten(module: Flatten, compiler: _SecureCompiler) -> List[SecureStep]:
-    start_dim = module.start_dim
+def _secure_flatten(op: Op, build: _SecureBuild) -> SecureStep:
+    start_dim = op.module.start_dim
 
     def flatten_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         return q.reshape(q.shape[:start_dim] + (-1,))
 
-    return [flatten_step]
+    return flatten_step
 
 
-@register_secure_rule(ZeroPad2d)
-def _secure_zeropad(module: ZeroPad2d, compiler: _SecureCompiler) -> List[SecureStep]:
-    left, right, top, bottom = module.padding
+def _secure_zeropad(op: Op, build: _SecureBuild) -> SecureStep:
+    left, right, top, bottom = op.module.padding
 
     def zeropad_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         pad_width = [(0, 0)] * (q.ndim - 2) + [(top, bottom), (left, right)]
         return np.pad(q, pad_width, mode="constant")
 
-    return [zeropad_step]
+    return zeropad_step
 
 
-@register_secure_rule(UpsampleNearest2d)
-def _secure_upsample(module: UpsampleNearest2d, compiler: _SecureCompiler) -> List[SecureStep]:
-    scale = module.scale_factor
+def _secure_upsample(op: Op, build: _SecureBuild) -> SecureStep:
+    scale = op.module.scale_factor
 
     def upsample_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         return q.repeat(scale, axis=2).repeat(scale, axis=3)
 
-    return [upsample_step]
+    return upsample_step
 
 
 # --------------------------------------------------------------------------- #
 # Pooling
 # --------------------------------------------------------------------------- #
 
-@register_secure_rule(MaxPool2d)
-def _secure_maxpool(module: MaxPool2d, compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
-    from ..autodiff.ops.conv import _pair
-
+def _pool_geometry(module) -> Tuple[int, int, Tuple[int, int], Tuple[int, int]]:
     kh, kw = _pair(module.kernel_size)
     stride = _pair(module.stride if module.stride is not None else module.kernel_size)
-    padding = _pair(module.padding)
-    key = compiler.next_key()
+    return kh, kw, stride, _pair(module.padding)
+
+
+def _secure_maxpool(op: Op, build: _SecureBuild) -> SecureStep:
+    name = op.name
+    kh, kw, stride, padding = _pool_geometry(op.module)
+    key = build.next_key()
 
     def maxpool_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         n, c, h, w = q.shape
         oh = conv_output_size(h, kh, stride[0], padding[0])
         ow = conv_output_size(w, kw, stride[1], padding[1])
         # Same zero-padded window gather as the eager/float path, evaluated
-        # with exact integer comparisons (k*k-1 per output element).
+        # with exact integer comparisons (kh*kw-1 per output element).
         cols_buf = ctx.pool.get((key, "cols"), (n, c, kh, kw, oh, ow), dtype=np.int64)
         cols = im2col(q, kh, kw, stride, padding, out=cols_buf)
         out = cols.reshape(n, c, kh * kw, oh, ow).max(axis=2)
@@ -754,7 +675,7 @@ def _secure_maxpool(module: MaxPool2d, compiler: _SecureCompiler) -> List[Secure
                    relu_ops=out.size * max(kh * kw - 1, 1), rounds=ROUNDS_GARBLED)
         return out
 
-    return [maxpool_step]
+    return maxpool_step
 
 
 def _window_average(q: np.ndarray, kh: int, kw: int, stride, padding,
@@ -774,28 +695,21 @@ def _window_average(q: np.ndarray, kh: int, kw: int, stride, padding,
     return out
 
 
-@register_secure_rule(AvgPool2d)
-def _secure_avgpool(module: AvgPool2d, compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
-    from ..autodiff.ops.conv import _pair
-
-    kh, kw = _pair(module.kernel_size)
-    stride = _pair(module.stride if module.stride is not None else module.kernel_size)
-    padding = _pair(module.padding)
-    key = compiler.next_key()
+def _secure_avgpool(op: Op, build: _SecureBuild) -> SecureStep:
+    name = op.name
+    kh, kw, stride, padding = _pool_geometry(op.module)
+    key = build.next_key()
 
     def avgpool_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         return _window_average(q, kh, kw, stride, padding, key, ctx, name, "AvgPool2d")
 
-    return [avgpool_step]
+    return avgpool_step
 
 
-@register_secure_rule(AdaptiveAvgPool2d)
-def _secure_adaptive_avgpool(module: AdaptiveAvgPool2d,
-                             compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
-    output_size = module.output_size
-    key = compiler.next_key()
+def _secure_adaptive_avgpool(op: Op, build: _SecureBuild) -> SecureStep:
+    name = op.name
+    output_size = op.module.output_size
+    key = build.next_key()
 
     def adaptive_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         n, c, h, w = q.shape
@@ -808,13 +722,11 @@ def _secure_adaptive_avgpool(module: AdaptiveAvgPool2d,
         return _window_average(q, kh, kw, (kh, kw), (0, 0), key, ctx, name,
                                "AdaptiveAvgPool2d")
 
-    return [adaptive_step]
+    return adaptive_step
 
 
-@register_secure_rule(GlobalAvgPool2d)
-def _secure_global_avgpool(module: GlobalAvgPool2d,
-                           compiler: _SecureCompiler) -> List[SecureStep]:
-    name = compiler.name_of(module)
+def _secure_global_avgpool(op: Op, build: _SecureBuild) -> SecureStep:
+    name = op.name
 
     def global_avgpool_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         n, c, h, w = q.shape
@@ -825,15 +737,12 @@ def _secure_global_avgpool(module: GlobalAvgPool2d,
                    truncations=out.size, rounds=0)
         return out
 
-    return [global_avgpool_step]
+    return global_avgpool_step
 
 
 # --------------------------------------------------------------------------- #
 # Quadratic layers
 # --------------------------------------------------------------------------- #
-
-_WEIGHT_ATTRS = {"a": "weight_a", "b": "weight_b", "c": "weight_c", "sq": "weight_sq"}
-
 
 def _combine_projections(required, proj: Dict[str, np.ndarray],
                          bias_q2: Optional[np.ndarray],
@@ -863,27 +772,25 @@ def _combine_projections(required, proj: Dict[str, np.ndarray],
     return ctx.truncate(acc, out=acc), mults
 
 
-@register_secure_rule(QuadraticConv2d, HybridQuadraticConv2d,
-                      HybridQuadraticConv2dT4, HybridQuadraticConv2dFan)
-def _secure_quadratic_conv(module: Module, compiler: _SecureCompiler) -> List[SecureStep]:
+def _secure_quadratic_conv(op: Op, build: _SecureBuild) -> SecureStep:
     """Fused fixed-point quadratic convolution (one shared im2col, like the
     float compiler) with per-projection truncation and one combine truncation."""
-    name = compiler.name_of(module)
+    module, name = op.module, op.name
     type_name = type(module).__name__
     required = REQUIRED_RESPONSES[module.neuron_type]
-    stride, padding, groups = _conv_geometry(module)
+    stride, padding, groups = module.stride, module.padding, module.groups
     kh, kw = module.kernel_size
     f = module.out_channels
     c_g = module.in_channels // groups
     patch = c_g * kh * kw
     wqs = {
-        kind: compiler.encode_weight(
-            getattr(module, _WEIGHT_ATTRS[kind]).data).reshape(groups, f // groups, patch)
+        kind: build.encode_weight(
+            getattr(module, f"weight_{kind}").data).reshape(groups, f // groups, patch)
         for kind in required if kind != "id"
     }
-    bias_q2 = (compiler.encode_bias(module.bias.data).reshape(1, f, 1, 1)
+    bias_q2 = (build.encode_bias(module.bias.data).reshape(1, f, 1, 1)
                if module.bias is not None else None)
-    key = compiler.next_key()
+    key = build.next_key()
 
     def quadratic_conv_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
         n, c, h, w = q.shape
@@ -930,25 +837,21 @@ def _secure_quadratic_conv(module: Module, compiler: _SecureCompiler) -> List[Se
                    rounds=ROUNDS_LINEAR + (ROUNDS_MULT if mult_ops else 0))
         return out
 
-    return [quadratic_conv_step]
+    return quadratic_conv_step
 
 
-@register_secure_rule(QuadraticLinear, HybridQuadraticLinear)
-def _secure_quadratic_linear(module: Module, compiler: _SecureCompiler) -> List[SecureStep]:
+def _secure_quadratic_linear(op: Op, build: _SecureBuild) -> SecureStep:
     """Fixed-point dense quadratic layer (composable designs; T1 unsupported)."""
-    name = compiler.name_of(module)
+    module, name = op.module, op.name
     type_name = type(module).__name__
     required = REQUIRED_RESPONSES[module.neuron_type]
     if "bilinear" in required:
-        raise SecureExecutionError(
-            f"full-rank bilinear (T1-family) layers are not supported by the "
-            f"secure runtime (layer '{name}'): the X^T W X term has no cheap "
-            f"secret-shared evaluation — convert to a composable design first")
+        return _refuse_bilinear(op, build)
     wqs_t = {
-        kind: compiler.encode_weight(getattr(module, _WEIGHT_ATTRS[kind]).data.T)
+        kind: build.encode_weight(getattr(module, f"weight_{kind}").data.T)
         for kind in required if kind != "id"
     }
-    bias_q2 = compiler.encode_bias(module.bias.data) if module.bias is not None else None
+    bias_q2 = build.encode_bias(module.bias.data) if module.bias is not None else None
     in_features, out_features = module.in_features, module.out_features
 
     def quadratic_linear_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
@@ -979,53 +882,55 @@ def _secure_quadratic_linear(module: Module, compiler: _SecureCompiler) -> List[
                    rounds=ROUNDS_LINEAR + (ROUNDS_MULT if mult_ops else 0))
         return out
 
-    return [quadratic_linear_step]
-
-
-@register_secure_rule(QuadraticConv2dT1)
-def _secure_quadratic_conv_t1(module: QuadraticConv2dT1,
-                              compiler: _SecureCompiler) -> List[SecureStep]:
-    raise SecureExecutionError(
-        f"full-rank bilinear (T1-family) layers are not supported by the "
-        f"secure runtime (layer '{compiler.name_of(module)}'): the X^T W X "
-        f"term has no cheap secret-shared evaluation — convert to a "
-        f"composable design first")
+    return quadratic_linear_step
 
 
 # --------------------------------------------------------------------------- #
-# Composite blocks (registered here so the zoo stays free of ppml imports)
+# Residual blocks
 # --------------------------------------------------------------------------- #
 
-def _register_secure_block_rules() -> None:
-    from ..models.mobilenet import DepthwiseSeparableBlock
-    from ..models.resnet import BasicBlock
+def _secure_residual(op: Op, build: _SecureBuild) -> SecureStep:
+    main, shortcut, after = (build.emit(plan) for plan in op.plans)
 
-    @register_secure_rule(BasicBlock)
-    def _secure_basic_block(module: BasicBlock, compiler: _SecureCompiler) -> List[SecureStep]:
-        main = compiler.compile_chain(
-            [module.conv1, module.bn1, module.relu, module.conv2, module.bn2])
-        shortcut = compiler.compile_module(module.shortcut)
-        final_relu = compiler.compile_module(module.relu)
+    def basic_block_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
+        out = q
+        for step in main:
+            out = step(out, ctx)
+        residual = q
+        for step in shortcut:
+            residual = step(residual, ctx)
+        out = out + residual                # share addition: free, exact
+        for step in after:
+            out = step(out, ctx)
+        return out
 
-        def basic_block_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
-            out = q
-            for step in main:
-                out = step(out, ctx)
-            residual = q
-            for step in shortcut:
-                residual = step(residual, ctx)
-            out = out + residual                # share addition: free, exact
-            for step in final_relu:
-                out = step(out, ctx)
-            return out
-
-        return [basic_block_step]
-
-    @register_secure_rule(DepthwiseSeparableBlock)
-    def _secure_dw_block(module: DepthwiseSeparableBlock,
-                         compiler: _SecureCompiler) -> List[SecureStep]:
-        return compiler.compile_chain([module.depthwise, module.bn1, module.relu,
-                                       module.pointwise, module.bn2, module.relu])
+    return basic_block_step
 
 
-_register_secure_block_rules()
+#: op kind -> emitter(op, build) -> secure step.  Kinds missing here refuse.
+_SECURE_EMITTERS: Dict[str, Callable[[Op, _SecureBuild], SecureStep]] = {
+    "linear": _secure_linear,
+    "conv": _secure_conv2d,
+    "batchnorm": _secure_batchnorm,
+    "layernorm": _secure_layernorm,
+    "relu": _secure_relu,
+    "leaky_relu": _secure_leaky_relu,
+    "sigmoid": _garbled_function(lambda x: 1.0 / (1.0 + np.exp(-x)), "Sigmoid"),
+    "tanh": _garbled_function(np.tanh, "Tanh"),
+    "gelu": _garbled_function(
+        lambda x: 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                           * (x + 0.044715 * x * x * x))), "GELU"),
+    "softmax": _secure_softmax,
+    "square": _secure_square,
+    "flatten": _secure_flatten,
+    "zeropad": _secure_zeropad,
+    "upsample": _secure_upsample,
+    "maxpool": _secure_maxpool,
+    "avgpool": _secure_avgpool,
+    "adaptive_avgpool": _secure_adaptive_avgpool,
+    "global_avgpool": _secure_global_avgpool,
+    "quadratic_conv": _secure_quadratic_conv,
+    "quadratic_linear": _secure_quadratic_linear,
+    "bilinear_conv": _refuse_bilinear,
+    "residual": _secure_residual,
+}

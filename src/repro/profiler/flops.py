@@ -3,25 +3,20 @@
 Produces the ``#Param`` column of Table 3 and feeds the RI layer-performance
 indicator (Eq. 5) with the per-layer parameter and computation ratios it
 needs.  Counting is shape-aware: a probe input is pushed through the model
-with forward hooks attached, so output resolutions (and hence conv MACs) are
-exact rather than estimated.
+with forward hooks attached
+(:func:`repro.inference.lowering.probe_leaves`), so output resolutions (and
+hence conv MACs) are exact rather than estimated, and each leaf is priced by
+its layer kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autodiff import no_grad
-from ..autodiff.tensor import Tensor
-from ..nn.layers.conv import Conv2d
-from ..nn.layers.linear import Linear
 from ..nn.module import Module
-from ..quadratic.layers.hybrid import HybridQuadraticConv2d, HybridQuadraticLinear
-from ..quadratic.layers.qconv import QuadraticConv2d, QuadraticConv2dT1
-from ..quadratic.layers.qlinear import QuadraticLinear
 
 
 @dataclass
@@ -33,6 +28,8 @@ class LayerProfile:
     parameters: int
     macs: int
     output_shape: Tuple[int, ...] = ()
+    #: the layer's kind (:data:`repro.inference.lowering.KINDS`), if any.
+    kind: Optional[str] = None
 
 
 @dataclass
@@ -56,83 +53,68 @@ class ModelProfile:
         raise KeyError(f"no layer named '{name}' in profile")
 
 
-def _conv_macs(out_shape: Tuple[int, ...], weight_shape: Tuple[int, ...], groups: int,
+def _weights(module: Module) -> List[np.ndarray]:
+    return [p for n, p in module._parameters.items() if n.startswith("weight")]
+
+
+def _conv_macs(out_shape: Tuple[int, ...], weight_shape: Tuple[int, ...],
                n_weight_sets: int = 1, elementwise: int = 0) -> int:
     # out_shape: (N, F, OH, OW); weight_shape: (F, C/g, kh, kw)
-    _, f, oh, ow = out_shape
+    n, f, oh, ow = out_shape
     _, c_g, kh, kw = weight_shape
     per_position = c_g * kh * kw
-    return (n_weight_sets * f * per_position + elementwise * f) * oh * ow
+    return n * (n_weight_sets * f * per_position + elementwise * f) * oh * ow
 
 
-def _count_layer(module: Module, out_shape: Tuple[int, ...]) -> Optional[Tuple[str, int, int]]:
-    """(type name, parameters, MACs) for a leaf layer, or None for containers."""
-    params = sum(p.size for p in module._parameters.values() if p is not None)
+def _rows(out_shape: Tuple[int, ...]) -> int:
+    return int(np.prod(out_shape[:-1]))
 
-    if isinstance(module, Conv2d):
-        macs = _conv_macs(out_shape, module.weight.shape, module.groups)
-        return "Conv2d", params, macs
-    if isinstance(module, (QuadraticConv2d, HybridQuadraticConv2d)):
-        n_sets = len([n for n in module._parameters if n.startswith("weight")])
-        weight = next(p for n, p in module._parameters.items() if n.startswith("weight"))
-        macs = _conv_macs(out_shape, weight.shape, getattr(module, "groups", 1),
-                          n_weight_sets=n_sets, elementwise=2)
-        return type(module).__name__, params, macs
-    if isinstance(module, QuadraticConv2dT1):
-        _, f, oh, ow = out_shape
-        patch = module.patch_size
-        macs = f * patch * patch * oh * ow
-        return "QuadraticConv2dT1", params, macs
-    if isinstance(module, Linear):
-        macs = module.in_features * module.out_features * int(np.prod(out_shape[:-1]))
-        return "Linear", params, macs
-    if isinstance(module, (QuadraticLinear, HybridQuadraticLinear)):
-        n_sets = len([n for n in module._parameters if n.startswith("weight")])
-        macs = n_sets * module.in_features * module.out_features * int(np.prod(out_shape[:-1]))
-        return type(module).__name__, params, macs
-    if params:
-        # BatchNorm and other small parametric layers: count params, negligible MACs.
-        return type(module).__name__, params, int(np.prod(out_shape))
-    return None
+
+#: layer kind -> MACs of one leaf at its output shape.  Other leaves with
+#: parameters (BatchNorm and friends) cost one MAC per output element.
+_MACS = {
+    "conv": lambda m, out: _conv_macs(out, m.weight.shape),
+    # Every first-order projection, plus the element-wise combine.
+    "quadratic_conv": lambda m, out: _conv_macs(out, _weights(m)[0].shape,
+                                                len(_weights(m)), elementwise=2),
+    "bilinear_conv": lambda m, out: int(np.prod(out)) * m.patch_size * m.patch_size,
+    "linear": lambda m, out: m.in_features * m.out_features * _rows(out),
+    "quadratic_linear": lambda m, out: (len(_weights(m)) * m.in_features
+                                        * m.out_features * _rows(out)),
+}
 
 
 def profile_model(model: Module, input_shape: Tuple[int, int, int],
                   batch_size: int = 1) -> ModelProfile:
-    """Profile parameters and MACs of every leaf layer with a probe forward pass."""
+    """Profile parameters and MACs of every leaf layer with a probe forward pass.
+
+    Every count scales with ``batch_size``.
+    """
+    # Imported here: the lowering knows the zoo's blocks, and the zoo builds
+    # through the builder, whose layer indicator imports this module.
+    from ..inference.lowering import probe_leaves
+
+    return profile_leaves(probe_leaves(model, input_shape, batch_size), batch_size)
+
+
+def profile_leaves(leaves, batch_size: int = 1) -> ModelProfile:
+    """The profile of already-probed leaves
+    (:func:`repro.inference.lowering.probe_leaves`), for callers that need
+    the probe for more than MACs."""
     profile = ModelProfile()
-    output_shapes: Dict[int, Tuple[int, ...]] = {}
-    removers = []
-
-    def make_hook(module_id: int):
-        def hook(_module, _inputs, output):
-            if isinstance(output, Tensor):
-                output_shapes[module_id] = output.shape
-        return hook
-
-    leaf_modules = []
-    for name, module in model.named_modules():
-        if not module._modules and (module._parameters or True):
-            leaf_modules.append((name, module))
-            removers.append(module.register_forward_hook(make_hook(id(module))))
-
-    probe = Tensor(np.zeros((batch_size,) + tuple(input_shape), dtype=np.float32))
-    was_training = model.training
-    model.train(False)
-    with no_grad():
-        model(probe)
-    model.train(was_training)
-    for remove in removers:
-        remove()
-
-    for name, module in leaf_modules:
-        out_shape = output_shapes.get(id(module), (batch_size,))
-        counted = _count_layer(module, out_shape)
-        if counted is None:
+    for leaf in leaves:
+        module = leaf.module
+        out_shape = leaf.calls[-1][1] if leaf.calls else (batch_size,)
+        params = sum(p.size for p in module._parameters.values() if p is not None)
+        count = _MACS.get(leaf.kind)
+        if count is not None:
+            macs = count(module, out_shape)
+        elif params:
+            macs = int(np.prod(out_shape))
+        else:
             continue
-        layer_type, params, macs = counted
-        if params == 0 and macs <= int(np.prod(out_shape)):
-            continue
-        profile.layers.append(LayerProfile(name, layer_type, params, macs, out_shape))
+        profile.layers.append(LayerProfile(leaf.name, type(module).__name__, params,
+                                           macs, out_shape, leaf.kind))
     return profile
 
 

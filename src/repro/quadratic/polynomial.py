@@ -1,4 +1,4 @@
-"""Higher-order polynomial layers (Π-nets / PolyNet style).
+r"""Higher-order polynomial layers (Π-nets / PolyNet style).
 
 Table 5 of the paper compares the quadratic SNGAN against *PolyNet* (Chrysos
 et al., 2020), whose Π-net blocks build polynomials of arbitrary order through

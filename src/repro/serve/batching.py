@@ -43,10 +43,6 @@ MAX_PIPELINE_DEPTH = 4
 #: starting depth (one computing + one parked) until measurements arrive.
 DEFAULT_PIPELINE_DEPTH = 2
 
-#: Backwards-compatible alias for the pre-adaptive constant; new code should
-#: consult a :class:`PipelineController` (or ``ServeConfig.pipeline_depth``).
-PIPELINE_DEPTH = DEFAULT_PIPELINE_DEPTH
-
 
 def ring_slots(max_depth: int = MAX_PIPELINE_DEPTH) -> int:
     """Request/response ring slots needed to sustain ``max_depth`` in flight.

@@ -361,9 +361,8 @@ class WorkerPool:
         :attr:`warmup_trace` for ``/stats`` consumers and the benchmark's
         measured-vs-static equality check.
         """
-        predictor = build_serving_predictor(
-            self.spec_dict, self.state, max_batch_size=1, max_wait=0.0,
-            secure=self.config.to_dict())
+        predictor = build_serving_predictor(self.spec_dict, self.state,
+                                            secure=self.config.to_dict())
         try:
             predictor.predict(np.zeros(self._input_shape, dtype=np.float32))
             self.warmup_trace = predictor.last_trace
@@ -509,7 +508,7 @@ class WorkerPool:
         ``ValueError``.
         """
         secure = self._secure_key(protocol, frac_bits, truncation)
-        return self._submit("predict", np.asarray(sample, dtype=np.float32),
+        return self._submit("batch", np.asarray(sample, dtype=np.float32),
                             secure=secure)
 
     def _secure_key(self, protocol, frac_bits, truncation) -> Optional[tuple]:
@@ -560,7 +559,7 @@ class WorkerPool:
                     f"{self.config.effective_watermark}; retry later")
             request = _Request(next(self._request_ids), kind, payload,
                                secure=secure)
-            if kind != "predict":
+            if kind != "batch":
                 # Control requests (sleep) bypass batching: they exist to pin
                 # a specific worker, which the backlog would defeat.
                 self._dispatch_direct(request)
@@ -1002,7 +1001,7 @@ class WorkerPool:
                     handle.stopping = True
                 for request in orphans:
                     if request.attempts <= self.config.max_retries and not self._closed:
-                        if request.kind == "predict":
+                        if request.kind == "batch":
                             to_requeue.append(request)
                         else:
                             self._requests.pop(request.request_id, None)

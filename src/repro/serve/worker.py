@@ -69,30 +69,29 @@ def execute_request(kind: str, payload: Any) -> None:
 
 
 def build_serving_predictor(spec_dict: Dict[str, Any], state: Dict[str, np.ndarray],
-                            max_batch_size: int, max_wait: float,
                             backend: str = "numpy",
                             secure: Optional[Dict[str, Any]] = None):
-    """Rebuild the model from its IPC form and wrap it for serving.
+    """Rebuild the model from its IPC form and compile it for serving.
 
     Split out of :func:`worker_main` so tests can exercise the
-    deserialize → build → load → compile path in-process.  ``backend`` is the
-    compute backend each worker compiles with (a :mod:`repro.backends` name).
+    deserialize → build → load → compile path in-process.  A float worker
+    gets the :class:`~repro.inference.CompiledModel` it executes, compiled
+    with ``backend`` (a :mod:`repro.backends` name).
 
     When ``secure`` is given (a dict with ``protocol`` / ``frac_bits`` /
     ``truncation`` / ``strategy``, i.e. the secure fields of
     ``ServeConfig.to_dict()``), the model is converted PPML-friendly and
-    wrapped in a :class:`~repro.ppml.SecurePredictor` instead — the same
-    deserialize → build → load path, one code path either way, which is what
-    keeps served secure answers bit-identical to the single-process
+    wrapped in a :class:`~repro.ppml.SecurePredictor` instead, whose
+    ``compiled`` model serves the default configuration and whose
+    ``variant()`` compiles per-request overrides — the same deserialize →
+    build → load path, one code path either way, which is what keeps served
+    secure answers bit-identical to the single-process
     ``Experiment.secure_predictor()``.  Empty ``protocol`` / ``strategy``
     defer to the spec's ``ppml`` section; strategy ``"none"`` serves the
     model unconverted (ReLUs cost garbled comparisons).
-
-    Either return type satisfies the :class:`repro.inference.Predictor`
-    protocol.
     """
     from ..experiment import ExperimentSpec
-    from ..inference import BatchedPredictor
+    from ..inference import compile_model
     from ..utils.seed import seed_everything
 
     spec = ExperimentSpec.from_dict(spec_dict)
@@ -116,8 +115,7 @@ def build_serving_predictor(spec_dict: Dict[str, Any], state: Dict[str, np.ndarr
             frac_bits=int(secure.get("frac_bits", 12)),
             truncation=str(secure.get("truncation", "nearest")),
             seed=spec.seed)
-    return BatchedPredictor(model, max_batch_size=max_batch_size,
-                            max_wait=max_wait, backend=backend)
+    return compile_model(model, backend=backend)
 
 
 class ResponseArena:
@@ -254,21 +252,23 @@ def _batch_tensor(payload, request_ring) -> Tuple[np.ndarray, Optional[Any]]:
     return np.asarray(data, dtype=np.float32), None
 
 
-def _resolve_compiled(predictor, meta: Optional[Dict[str, Any]]):
+def _resolve_compiled(served, meta: Optional[Dict[str, Any]]):
     """The compiled model a batch frame should execute on.
 
-    ``meta`` is ``None`` for float pools and for secure requests in the
-    pool's default configuration; a per-request override dict selects (and
-    lazily compiles) the matching :meth:`SecurePredictor.variant`.
+    ``served`` is what :func:`build_serving_predictor` returned: a float
+    pool's compiled model runs every frame; a secure pool's predictor runs
+    its default compilation when ``meta`` is ``None``, and a per-request
+    override dict selects (and lazily compiles) the matching
+    :meth:`SecurePredictor.variant`.
     """
     if not meta:
-        return predictor.compiled
-    return predictor.variant(protocol=meta.get("protocol"),
-                             frac_bits=meta.get("frac_bits"),
-                             truncation=meta.get("truncation"))
+        return getattr(served, "compiled", served)
+    return served.variant(protocol=meta.get("protocol"),
+                          frac_bits=meta.get("frac_bits"),
+                          truncation=meta.get("truncation"))
 
 
-def _serve_batch(predictor, message, request_ring, arena: ResponseArena,
+def _serve_batch(served, message, request_ring, arena: ResponseArena,
                  response_queue) -> None:
     """Answer one ("batch", ...) frame, isolating failures to its requests."""
     _, batch_id, request_ids, payload = message[:4]
@@ -276,7 +276,7 @@ def _serve_batch(predictor, message, request_ring, arena: ResponseArena,
     frame = None
     try:
         clock = time.perf_counter()
-        compiled = _resolve_compiled(predictor, meta)
+        compiled = _resolve_compiled(served, meta)
         batch, frame = _batch_tensor(payload, request_ring)
         read_ms = (time.perf_counter() - clock) * 1000.0
         arena.serve(compiled, batch, batch_id, request_ids, read_ms,
@@ -318,11 +318,8 @@ def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.n
     if ring_descriptor is not None:
         request_ring, response_ring = WorkerRings.attach(ring_descriptor)
 
-    # Only the predictor's compiled model runs here (through the arena), so
-    # its own micro-batching settings are moot.
-    predictor = build_serving_predictor(
-        spec_dict, state, max_batch_size=1, max_wait=0.0,
-        backend=config_dict.get("backend", "numpy"),
+    served = build_serving_predictor(
+        spec_dict, state, backend=config_dict.get("backend", "numpy"),
         secure=config_dict if config_dict.get("secure") else None)
     arena = ResponseArena(response_ring)
     response_queue.put(("ready", worker_id, os.getpid()))
@@ -332,7 +329,7 @@ def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.n
             if message is None:
                 break
             if message[0] == "batch":
-                _serve_batch(predictor, message, request_ring, arena,
+                _serve_batch(served, message, request_ring, arena,
                              response_queue)
                 continue
             kind, request_id, payload = message
@@ -343,7 +340,6 @@ def worker_main(worker_id: int, spec_dict: Dict[str, Any], state: Dict[str, np.n
                 response_queue.put(("err", request_id,
                                     f"{type(error).__name__}: {error}"))
     finally:
-        predictor.close()      # every Predictor implementation exposes close()
         response_queue.put(("bye", worker_id))
         for ring in (request_ring, response_ring):
             if ring is not None:

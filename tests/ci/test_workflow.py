@@ -152,10 +152,34 @@ def test_bench_gate_uploads_the_trajectory_history(workflow):
     assert "benchmarks/results/*.json" in upload["with"]["path"]
 
 
+def test_bench_gate_restores_the_trajectory_history_from_a_cache(workflow):
+    """Without a persisted history the trajectory check can never fail: the
+    cache restores it before any bench appends, keyed so only runs on the
+    same OS and core count compare, and each run extends the latest save."""
+    steps = workflow["jobs"]["bench-gate"]["steps"]
+    runs = [step.get("run", "") for step in steps]
+    cache_idx = next((i for i, step in enumerate(steps)
+                      if step.get("uses", "").startswith("actions/cache@")), None)
+    assert cache_idx is not None, "bench-gate does not cache the trajectory"
+    cache = steps[cache_idx]["with"]
+    assert cache["path"] == "benchmarks/results/trajectory.jsonl"
+    key, prefix = cache["key"], cache["restore-keys"].strip()
+    assert "${{ runner.os }}" in key and "nproc" in key
+    assert "${{ github.run_id }}" in key, "a fixed key is saved once, then never updated"
+    assert key.startswith(prefix) and "run_id" not in prefix
+    cores_idx = next(i for i, run in enumerate(runs) if "$(nproc)" in run)
+    first_bench = next(i for i, run in enumerate(runs) if "benchmarks/bench_" in run)
+    check_idx = next(i for i, run in enumerate(runs) if "check_trajectory.py" in run)
+    assert cores_idx < cache_idx < first_bench < check_idx
+
+
 def test_lint_job_compiles_and_ruffs(workflow):
     runs = " ".join(step.get("run", "")
                     for job, step in all_steps(workflow) if job == "lint")
     assert "compileall" in runs
+    # Warnings are errors, so an invalid escape sequence fails the gate, and
+    # the benchmark harness is compiled too.
+    assert "python -W error -m compileall -q -f src benchmarks tests bench" in runs
     assert "ruff check" in runs
     # The ruff config the job refers to must actually exist.
     assert "[tool.ruff" in (REPO_ROOT / "pyproject.toml").read_text()

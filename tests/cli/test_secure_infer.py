@@ -47,6 +47,20 @@ def test_secure_infer_strategy_none_pays_garbled_circuits(capsys):
     assert results["matches_static"] is True
 
 
+@pytest.mark.parametrize("neuron_type", ["T4", "T2_4"])
+def test_secure_infer_hybrid_bp_matches_static_analysis(neuron_type, tmp_path, capsys):
+    """The hybrid back-propagation layers are counted like their composed twins."""
+    from repro.experiment import get_preset
+
+    spec = get_preset("smoke").to_dict()
+    spec["model"].update(neuron_type=neuron_type, hybrid_bp=True)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    results = json.loads(run(["secure-infer", str(path), "--samples", "1", "--json"],
+                             capsys))
+    assert results["matches_static"] is True
+
+
 def test_secure_infer_per_layer_prints_the_trace(capsys):
     out = run(["secure-infer", "smoke", "--samples", "1", "--per-layer"], capsys)
     assert "Executed protocol trace" in out

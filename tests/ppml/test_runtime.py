@@ -92,8 +92,13 @@ def test_trace_counts_scale_with_batch_size():
     assert trace3.total_macs == 3 * trace1.total_macs
 
 
-@pytest.mark.parametrize("neuron_type", ["T2", "T3", "T4", "T4_ID", "T2_4", "OURS"])
-def test_executed_trace_matches_static_counts_for_every_composable_design(neuron_type):
+@pytest.mark.parametrize("neuron_type, hybrid_bp", [
+    *(pytest.param(t, False, id=t) for t in ("T2", "T3", "T4", "T4_ID", "T2_4", "OURS")),
+    # The symbolic-backward twins are the same layer kind as the composed ones.
+    *(pytest.param(t, True, id=f"{t}-hybrid_bp") for t in ("T4", "T2_4", "OURS")),
+])
+def test_executed_trace_matches_static_counts_for_every_composable_design(neuron_type,
+                                                                          hybrid_bp):
     """Including the squared-input designs (T2, T2_4), whose X² projection
     costs one Beaver triple per input element in both static and measured."""
     from repro.quadratic import quadratic_layer
@@ -102,10 +107,11 @@ def test_executed_trace_matches_static_counts_for_every_composable_design(neuron
     seed_everything(0)
     flat = 3 * 8 * 8
     model = nn.Sequential(
-        quadratic_layer(neuron_type, 3, 3, kernel_size=3, padding=1),
+        quadratic_layer(neuron_type, 3, 3, kernel_size=3, padding=1, hybrid_bp=hybrid_bp),
         nn.Flatten(),
         # T4_ID adds the raw input, so its dense layer must preserve width.
-        quadratic_layer(neuron_type, flat, flat if neuron_type == "T4_ID" else 4),
+        quadratic_layer(neuron_type, flat, flat if neuron_type == "T4_ID" else 4,
+                        hybrid_bp=hybrid_bp),
     )
     model.eval()
     _, trace = secure_compile(model).run(np.zeros((1, 3, 8, 8), dtype=np.float32))
@@ -114,6 +120,20 @@ def test_executed_trace_matches_static_counts_for_every_composable_design(neuron
     if "sq" in REQUIRED_RESPONSES[neuron_type]:
         # The squared-input projection adds one triple per input element.
         assert trace.total_mult_ops >= 3 * 8 * 8
+
+
+@pytest.mark.parametrize("pool", [nn.MaxPool2d((2, 4)), nn.AvgPool2d((2, 4)),
+                                  nn.MaxPool2d((3, 2), stride=1, padding=1)],
+                         ids=["max-2x4", "avg-2x4", "max-3x2-overlapping"])
+def test_executed_trace_matches_static_counts_for_non_square_pools(pool):
+    """A kh x kw max-pool window costs kh*kw-1 comparisons per output element,
+    in both the static count and the executed trace."""
+    seed_everything(0)
+    model = nn.Sequential(nn.Conv2d(3, 4, 3, padding=1), nn.ReLU(), pool,
+                          nn.GlobalAvgPool2d(), nn.Linear(4, 4))
+    model.eval()
+    _, trace = secure_compile(model).run(np.zeros((1, 3, 8, 8), dtype=np.float32))
+    assert trace.count_diff(static_operations(model, (3, 8, 8))) == {}
 
 
 def test_measured_savings_match_at_batch_sizes_above_one():
@@ -240,6 +260,20 @@ def test_unknown_module_is_refused_with_the_layer_name():
     model = nn.Sequential(nn.ReLU(), Exotic())
     with pytest.raises(SecureExecutionError, match="Exotic"):
         secure_compile(model)
+
+
+def test_hooked_modules_run_their_secure_lowering():
+    """Forward hooks observe eager float activations; the secure path runs a
+    hooked module's own lowering and traces it like any other layer."""
+    model, input_shape = zoo_model("small_convnet")
+    probe = np.zeros((1,) + input_shape, dtype=np.float32)
+    expected, expected_trace = secure_compile(model).run(probe)
+    model.features.register_forward_hook(lambda *args: None)
+    model.features[0].register_forward_hook(lambda *args: None)
+    out, trace = secure_compile(model).run(probe)
+    assert np.array_equal(out, expected)
+    assert [layer.to_dict() for layer in trace.layers] == \
+        [layer.to_dict() for layer in expected_trace.layers]
 
 
 # --------------------------------------------------------------------------- #

@@ -158,6 +158,35 @@ class TestFlopsProfiler:
         assert p_quad.total_parameters == 3 * p_first.total_parameters
         assert p_quad.total_macs > 2.9 * p_first.total_macs
 
+    @pytest.mark.parametrize("neuron_type, kernel_size, shape", [
+        ("T4", 3, (3, 8, 8)), ("T2_4", 3, (3, 8, 8)), ("OURS", 3, (3, 8, 8)),
+        ("OURS", None, (3,))])
+    def test_hybrid_layers_cost_what_their_composed_twins_cost(self, neuron_type,
+                                                               kernel_size, shape):
+        """hybrid_bp changes the backward only; the forward MACs are the same."""
+        from repro.quadratic import quadratic_layer
+
+        composed, hybrid = (
+            quadratic_layer(neuron_type, 3, 4, kernel_size=kernel_size,
+                            padding=1 if kernel_size else 0, hybrid_bp=hybrid_bp)
+            for hybrid_bp in (False, True))
+        assert type(hybrid) is not type(composed)
+        assert (profile_model(hybrid, shape).total_macs
+                == profile_model(composed, shape).total_macs)
+
+    def test_every_layer_scales_with_the_batch(self):
+        from repro.quadratic import QuadraticConv2d, QuadraticConv2dT1
+
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, 3, padding=1), QuadraticConv2d(4, 4, 3, padding=1),
+            QuadraticConv2dT1(4, 2, 1), nn.BatchNorm2d(2), nn.Flatten(),
+            nn.Linear(2 * 8 * 8, 4))
+        one = profile_model(model, (3, 8, 8), batch_size=1).layers
+        four = profile_model(model, (3, 8, 8), batch_size=4).layers
+        assert [layer.name for layer in four] == [layer.name for layer in one]
+        for single, batched in zip(one, four):
+            assert batched.macs == 4 * single.macs, single.name
+
     def test_by_name_lookup(self):
         model = SmallConvNet(num_classes=10)
         profile = profile_model(model, (3, 32, 32))

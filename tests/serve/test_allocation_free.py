@@ -113,9 +113,7 @@ class TestInRingAssemblyEquivalence:
 
 class TestWarmWorkerAllocationFree:
     def test_steady_state_batch_touches_no_heap(self, smoke):
-        predictor = build_serving_predictor(
-            smoke.spec.to_dict(), smoke.state, max_batch_size=8, max_wait=0.0)
-        compiled = predictor.compiled
+        compiled = build_serving_predictor(smoke.spec.to_dict(), smoke.state)
         responses = queue.SimpleQueue()
         requests = np.stack(smoke.samples[:4])
         with ShmRing(slots=4, slot_bytes=1 << 20) as request_ring, \
@@ -152,7 +150,6 @@ class TestWarmWorkerAllocationFree:
                          if stat.count_diff > 0
                          and stat.size_diff / stat.count_diff >= 1024]
             assert not offenders, offenders
-        predictor.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -196,19 +193,16 @@ class TestArenaFallback:
     @pytest.mark.parametrize("blocked", ["ring_full", "slot_too_small"])
     def test_unshippable_response_goes_inline_without_leaking(self, smoke,
                                                               blocked):
-        predictor = build_serving_predictor(
-            smoke.spec.to_dict(), smoke.state, max_batch_size=8, max_wait=0.0)
+        compiled = build_serving_predictor(smoke.spec.to_dict(), smoke.state)
         responses = queue.SimpleQueue()
         batch = np.stack(smoke.samples)          # 6 rows x 4 logits = 96 bytes
         slot_bytes = 64 if blocked == "slot_too_small" else 1 << 20
         with ShmRing(slots=1, slot_bytes=slot_bytes) as response_ring:
             held = [response_ring.lease()[0]] if blocked == "ring_full" else []
             ResponseArena(response_ring).serve(
-                predictor.compiled, batch, 0, list(range(len(batch))), 0.0,
-                responses)
+                compiled, batch, 0, list(range(len(batch))), 0.0, responses)
             _, _, _, (via, outputs), _ = responses.get()
             assert via == "inline"
             for row, expected in zip(outputs, smoke.expected):
                 assert np.array_equal(row, expected)
             assert response_ring.leased_slots() == held
-        predictor.close()

@@ -7,6 +7,7 @@ import queue
 import numpy as np
 import pytest
 
+from repro.inference import CompiledModel
 from repro.serve import ServeConfig
 from repro.serve.worker import (
     REQUEST_KINDS,
@@ -19,24 +20,17 @@ from repro.serve.worker import (
 class TestBuildServingPredictor:
     def test_rebuilt_worker_matches_parent_bit_for_bit(self, smoke):
         """Spec dict + state dict over "IPC" → identical predictions."""
-        predictor = build_serving_predictor(
-            smoke.spec.to_dict(), dict(smoke.state), max_batch_size=1, max_wait=0.0)
-        try:
-            for sample, expected in zip(smoke.samples, smoke.expected):
-                assert np.array_equal(predictor.predict(sample), expected)
-        finally:
-            predictor.shutdown()
+        compiled = build_serving_predictor(smoke.spec.to_dict(), dict(smoke.state))
+        assert isinstance(compiled, CompiledModel)
+        for sample, expected in zip(smoke.samples, smoke.expected):
+            assert np.array_equal(compiled(sample[None])[0], expected)
 
     def test_without_state_the_worker_serves_the_seeded_build(self, smoke):
-        predictor = build_serving_predictor(
-            smoke.spec.to_dict(), {}, max_batch_size=1, max_wait=0.0)
-        try:
-            out = predictor.predict(smoke.samples[0])
-            # The smoke spec builds deterministically from its seed, and the
-            # parent model was never trained, so even the no-state path agrees.
-            assert np.array_equal(out, smoke.expected[0])
-        finally:
-            predictor.shutdown()
+        compiled = build_serving_predictor(smoke.spec.to_dict(), {})
+        out = compiled(smoke.samples[0][None])[0]
+        # The smoke spec builds deterministically from its seed, and the
+        # parent model was never trained, so even the no-state path agrees.
+        assert np.array_equal(out, smoke.expected[0])
 
 
 class TestExecuteRequest:
@@ -59,7 +53,7 @@ class TestSecureBatch:
         its own protocol totals."""
         samples = np.stack(smoke.samples[:3])
         predictor = build_serving_predictor(
-            smoke.spec.to_dict(), smoke.state, max_batch_size=1, max_wait=0.0,
+            smoke.spec.to_dict(), smoke.state,
             secure=ServeConfig(secure=True).to_dict())
         responses = queue.SimpleQueue()
         try:
