@@ -16,8 +16,9 @@ from repro import nn
 from repro.builder import AutoBuilder, QuadraticModelConfig, compute_layer_indicators
 from repro.builder.indicator import _set_submodule
 from repro.data import DataLoader
+from repro.engine import run_classification
 from repro.models import SmallConvNet
-from repro.training import evaluate_classifier, train_classifier
+from repro.training import evaluate_classifier
 from repro.utils import print_table
 
 
@@ -26,8 +27,8 @@ def _trained_model(train_set):
     model = SmallConvNet(num_classes=NUM_CLASSES, image_size=IMAGE_SIZE,
                          config=QuadraticModelConfig(neuron_type="first_order",
                                                      width_multiplier=0.5))
-    train_classifier(model, train_set, epochs=2, batch_size=BATCH_SIZE, lr=0.05,
-                     max_batches_per_epoch=MAX_BATCHES, seed=29)
+    run_classification(model, train_set, epochs=2, batch_size=BATCH_SIZE, lr=0.05,
+                       max_batches_per_epoch=MAX_BATCHES, seed=29)
     return model
 
 

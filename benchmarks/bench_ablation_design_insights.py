@@ -16,8 +16,8 @@ import pytest
 
 from common import BATCH_SIZE, MAX_BATCHES, NUM_CLASSES, WIDTH, classification_data, fresh_seed, save_experiment
 from repro.builder import QuadraticModelConfig
+from repro.engine import run_classification
 from repro.models import vgg_from_cfg
-from repro.training import train_classifier
 from repro.utils import print_table
 
 SHALLOW_CFG = [16, "M", 32, "M"]
@@ -30,9 +30,9 @@ def _run(cfg, **config_kwargs):
     train_set, test_set = classification_data()
     config = QuadraticModelConfig(neuron_type="OURS", width_multiplier=WIDTH, **config_kwargs)
     model = vgg_from_cfg(cfg, num_classes=NUM_CLASSES, config=config)
-    history = train_classifier(model, train_set, test_set, epochs=EPOCHS,
-                               batch_size=BATCH_SIZE, lr=0.05,
-                               max_batches_per_epoch=MAX_BATCHES, seed=23)
+    history = run_classification(model, train_set, test_set, epochs=EPOCHS,
+                                 batch_size=BATCH_SIZE, lr=0.05,
+                                 max_batches_per_epoch=MAX_BATCHES, seed=23)
     return history
 
 

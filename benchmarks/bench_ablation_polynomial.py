@@ -17,8 +17,8 @@ import pytest
 
 from common import BATCH_SIZE, MAX_BATCHES, NUM_CLASSES, classification_data, fresh_seed, save_experiment
 from repro import nn
+from repro.engine import run_classification
 from repro.quadratic import PolyConv2d, typenew
-from repro.training import train_classifier
 from repro.utils import print_table
 
 EPOCHS = 3
@@ -57,9 +57,9 @@ def test_ablation_polynomial_order(benchmark):
         fresh_seed(60 + index)
         model = build_backbone(factory)
         with np.errstate(all="ignore"):
-            history = train_classifier(model, train_set, test_set, epochs=EPOCHS,
-                                       batch_size=BATCH_SIZE, lr=0.05,
-                                       max_batches_per_epoch=MAX_BATCHES, seed=31)
+            history = run_classification(model, train_set, test_set, epochs=EPOCHS,
+                                         batch_size=BATCH_SIZE, lr=0.05,
+                                         max_batches_per_epoch=MAX_BATCHES, seed=31)
         rows.append([name, model.num_parameters(),
                      round(history.final_train_accuracy, 3),
                      round(history.final_test_accuracy, 3)])

@@ -14,8 +14,8 @@ import pytest
 from common import BATCH_SIZE, MAX_BATCHES, WIDTH, fresh_seed, save_experiment
 from repro.builder import QuadraticModelConfig
 from repro.data.synthetic import SyntheticImageClassification
+from repro.engine import run_classification
 from repro.models import vgg_from_cfg
-from repro.training import train_classifier
 from repro.utils import print_table
 
 IMAGE = 32
@@ -46,9 +46,9 @@ def test_table4_tiny_imagenet_vgg(benchmark):
     for index, (name, cfg, config) in enumerate(rows_spec):
         fresh_seed(40 + index)
         model = vgg_from_cfg(cfg, num_classes=NUM_CLASSES, config=config)
-        history = train_classifier(model, train_set, test_set, epochs=EPOCHS,
-                                   batch_size=BATCH_SIZE, lr=0.05,
-                                   max_batches_per_epoch=MAX_BATCHES, seed=11)
+        history = run_classification(model, train_set, test_set, epochs=EPOCHS,
+                                     batch_size=BATCH_SIZE, lr=0.05,
+                                     max_batches_per_epoch=MAX_BATCHES, seed=11)
         depth = sum(1 for c in cfg if c != "M")
         rows.append([name, f"{depth} CL", round(history.best_test_accuracy, 3)])
         results[name] = {

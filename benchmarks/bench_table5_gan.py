@@ -17,9 +17,10 @@ import pytest
 
 from common import fresh_seed, save_experiment
 from repro.data.synthetic import SyntheticGenerationDataset
+from repro.engine import run_gan
 from repro.metrics import ProxyInception, evaluate_generator
 from repro.models import sngan_pair
-from repro.training import generate_images, train_sngan
+from repro.training import generate_images
 from repro.utils import print_table
 
 IMAGE = 16
@@ -54,7 +55,7 @@ def test_table5_gan_generation(benchmark):
         untrained = generate_images(generator, EVAL_IMAGES, seed=3)
         untrained_scores = evaluate_generator(proxy, untrained, real=real_reference)
 
-        train_sngan(generator, discriminator, dataset, steps=STEPS, batch_size=BATCH, seed=13)
+        run_gan(generator, discriminator, dataset, steps=STEPS, batch_size=BATCH, seed=13)
         trained = generate_images(generator, EVAL_IMAGES, seed=3)
         trained_scores = evaluate_generator(proxy, trained, real=real_reference)
 

@@ -18,8 +18,9 @@ import pytest
 from common import fresh_seed, save_experiment
 from repro.builder import QuadraticModelConfig
 from repro.data.synthetic import SyntheticDetectionDataset, SyntheticImageClassification
+from repro.engine import run_detection
 from repro.models import build_ssd
-from repro.training import evaluate_detector, load_pretrained_backbone, pretrain_backbone, train_detector
+from repro.training import evaluate_detector, load_pretrained_backbone, pretrain_backbone
 from repro.utils import print_table
 
 IMAGE = 64
@@ -66,8 +67,8 @@ def test_table6_detection(benchmark):
                 pretrained_cache[neuron_type] = _pretrained_state(neuron_type)
             copied = load_pretrained_backbone(detector, pretrained_cache[neuron_type])
 
-        history = train_detector(detector, train_set, epochs=EPOCHS, batch_size=8, lr=5e-3,
-                                 max_batches_per_epoch=4, seed=17)
+        history = run_detection(detector, train_set, epochs=EPOCHS, batch_size=8, lr=5e-3,
+                                max_batches_per_epoch=4, seed=17)
         evaluation = evaluate_detector(detector, test_set, batch_size=8, score_threshold=0.2)
         per_class = evaluation["per_class_ap"]
         rows.append([name, "yes" if pretrained else "no"]

@@ -13,9 +13,10 @@ Inception Score and FID.
 import numpy as np
 
 from repro.data.synthetic import SyntheticGenerationDataset
+from repro.engine import run_gan
 from repro.metrics import ProxyInception, evaluate_generator
 from repro.models import sngan_pair
-from repro.training import generate_images, train_sngan
+from repro.training import generate_images
 from repro.utils import print_table, seed_everything
 
 IMAGE = 16
@@ -38,7 +39,7 @@ def main() -> None:
         generator, discriminator = sngan_pair(latent_dim=16, base_channels=8,
                                               image_size=IMAGE, neuron_type=neuron_type)
         print(f"Training {name} for {STEPS} adversarial steps...")
-        history = train_sngan(generator, discriminator, dataset, steps=STEPS, batch_size=BATCH)
+        history = run_gan(generator, discriminator, dataset, steps=STEPS, batch_size=BATCH)
         samples = generate_images(generator, EVAL_IMAGES)
         scores = evaluate_generator(proxy, samples, real=real_reference)
         rows.append([name, f"{scores.inception_score:.3f} ± {scores.inception_score_std:.3f}",

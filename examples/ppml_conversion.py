@@ -23,8 +23,8 @@ import numpy as np
 from repro import ppml
 from repro.builder import QuadraticModelConfig
 from repro.data.synthetic import SyntheticImageClassification
+from repro.engine import run_classification
 from repro.models import vgg_from_cfg
-from repro.training import train_classifier
 from repro.utils import print_table, seed_everything
 
 INPUT_SHAPE = (3, 32, 32)
@@ -91,8 +91,8 @@ def training_check() -> None:
         if strategy is not None:
             model, _ = ppml.to_ppml_friendly(model, strategy=strategy)
         with np.errstate(all="ignore"):
-            history = train_classifier(model, train_set, test_set, epochs=3, batch_size=16,
-                                       lr=0.05, max_batches_per_epoch=6, seed=7)
+            history = run_classification(model, train_set, test_set, epochs=3, batch_size=16,
+                                         lr=0.05, max_batches_per_epoch=6, seed=7)
         rows.append([strategy or "original (ReLU)",
                      f"{history.final_train_accuracy:.3f}",
                      f"{history.final_test_accuracy:.3f}"])

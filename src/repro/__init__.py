@@ -25,7 +25,8 @@ Subpackages
 ``profiler``   training-memory, latency and FLOPs profilers
 ``ppml``       privacy-preserving inference cost models and ReLU→quadratic conversion
 ``analysis``   activation attention and gradient/weight distribution tools
-``training``   classification / GAN / detection trainers
+``training``   training histories, evaluators and backbone pre-training
+               (the loops run through ``engine``)
 ``metrics``    accuracy, VOC mAP, IS/FID (proxy feature network)
 ``utils``      seeding, logging/tables, checkpoint serialisation
 

@@ -68,26 +68,6 @@ def _convert_linear(layer: Linear, neuron_type: str, hybrid_bp: bool) -> Module:
 def quadratize_module(model: Module, neuron_type: str = "OURS", hybrid_bp: bool = False,
                       convert_linear: bool = False, skip_depthwise: bool = True,
                       skip_names: Sequence[str] = ()) -> int:
-    """Deprecated free-function conversion; kept as a thin shim.
-
-    The behaviour is unchanged, but new code should either declare
-    ``ModelSpec(auto_build=True)`` in a :class:`repro.experiment.ExperimentSpec`
-    or use :meth:`AutoBuilder.convert`, both of which report what changed.
-    """
-    from ..utils.deprecation import warn_deprecated
-
-    warn_deprecated(
-        "repro.builder.quadratize_module(model, ...)",
-        "repro.experiment.ModelSpec(auto_build=True) / AutoBuilder(...).convert(model)",
-    )
-    return _quadratize_module_impl(model, neuron_type=neuron_type, hybrid_bp=hybrid_bp,
-                                   convert_linear=convert_linear,
-                                   skip_depthwise=skip_depthwise, skip_names=skip_names)
-
-
-def _quadratize_module_impl(model: Module, neuron_type: str = "OURS", hybrid_bp: bool = False,
-                            convert_linear: bool = False, skip_depthwise: bool = True,
-                            skip_names: Sequence[str] = ()) -> int:
     """Replace first-order layers with quadratic ones in place (shallow → deep).
 
     Parameters
@@ -234,10 +214,10 @@ class AutoBuilder:
     def convert(self, model: Module, skip_names: Sequence[str] = ()) -> ConversionReport:
         """Replace first-order layers in ``model`` (in place) and report the change."""
         params_before = model.num_parameters()
-        converted = _quadratize_module_impl(model, neuron_type=self.neuron_type,
-                                            hybrid_bp=self.hybrid_bp,
-                                            convert_linear=self.convert_linear,
-                                            skip_names=skip_names)
+        converted = quadratize_module(model, neuron_type=self.neuron_type,
+                                      hybrid_bp=self.hybrid_bp,
+                                      convert_linear=self.convert_linear,
+                                      skip_names=skip_names)
         return ConversionReport(
             converted_layers=converted,
             removed_layers=[],

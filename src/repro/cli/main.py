@@ -3,9 +3,7 @@
 The CLI is a thin shell over :mod:`repro.experiment`: ``repro run`` executes a
 declarative JSON spec (or a bundled preset) through the
 :class:`~repro.experiment.Experiment` facade, and ``repro list`` prints the
-component registries a spec may reference.  The pre-redesign workflow
-subcommands (``train`` / ``convert`` / ``ppml`` / ``explore``) keep working as
-deprecation shims that assemble the equivalent spec internally.
+component registries a spec may reference.
 """
 
 from __future__ import annotations
@@ -27,16 +25,12 @@ from ..experiment import (
     Experiment,
     ExperimentSpec,
     ModelSpec,
-    PPMLSpec,
     ProfileSpec,
-    SearchSpec,
-    TrainSpec,
     get_preset,
     neuron_names,
     preset_names,
 )
 from ..quadratic.neuron_types import NEURON_TYPES
-from ..utils.deprecation import warn_deprecated
 from ..utils.logging import format_table
 
 #: Model families the CLI can build — the model registry's keys.
@@ -46,7 +40,7 @@ MODEL_CHOICES = tuple(MODELS.names())
 #: keys, so ``--backend`` help text and errors can never drift from the code.
 BACKEND_CHOICES = tuple(backend_names())
 
-#: Models usable by the image-workload subcommands (``mlp`` takes vectors).
+#: Models ``repro profile`` can build (``mlp`` takes vectors, not images).
 IMAGE_MODEL_CHOICES = tuple(name for name in MODEL_CHOICES if name != "mlp")
 
 
@@ -66,42 +60,8 @@ def _experiment(spec: ExperimentSpec, **kwargs) -> Experiment:
         raise CLIError(str(error)) from None
 
 
-def _legacy_spec(args: argparse.Namespace, **overrides) -> ExperimentSpec:
-    """The ExperimentSpec equivalent of the legacy model/data flag soup."""
-    samples = getattr(args, "samples", 256)
-    # LeNet and SmallConvNet size their classifier head from the input
-    # resolution; the zoo backbones are resolution-agnostic.
-    extra = ({"image_size": args.image_size}
-             if args.model in ("lenet", "small_convnet") else {})
-    spec = ExperimentSpec(
-        seed=args.seed,
-        model=ModelSpec(
-            name=args.model,
-            neuron_type=getattr(args, "neuron_type", "OURS"),
-            num_classes=args.num_classes,
-            width_multiplier=args.width_multiplier,
-            extra=extra,
-        ),
-        data=DataSpec(
-            num_samples=samples,
-            test_samples=max(samples // 2, 16),
-            num_classes=args.num_classes,
-            image_size=args.image_size,
-            seed=args.seed,
-        ),
-        train=TrainSpec(
-            epochs=getattr(args, "epochs", 2),
-            batch_size=getattr(args, "batch_size", 32),
-            lr=getattr(args, "lr", 0.05),
-            max_batches_per_epoch=getattr(args, "max_batches", None),
-            seed=args.seed,
-        ),
-    )
-    return spec.with_(**overrides) if overrides else spec
-
-
 # --------------------------------------------------------------------------- #
-# The new entry points: run / list
+# Spec-driven entry points: run / train --resume / list
 # --------------------------------------------------------------------------- #
 
 def _print_run_summary(summary: dict) -> None:
@@ -237,6 +197,31 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         experiment.save_results(args.out)
         _print(f"\nresults written to {args.out}")
+    return 0
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    """Resume an interrupted training run from its checkpoint.
+
+    The run is rebuilt entirely from the spec embedded in the checkpoint
+    file — model, data, recipe and RNG streams all restore, so the completed
+    training is bit-identical to one that was never interrupted.
+    """
+    payload = _checkpoint_payload(args.resume)
+    spec = _spec_from_checkpoint(payload, args.resume)
+    # Clear any stop request the interrupted run carried; keep its
+    # checkpoint_dir so the resumed run goes on writing checkpoints.
+    spec = spec.with_(train=spec.train.with_(resume_from=args.resume,
+                                             stop_after_epoch=None))
+    history = _experiment(spec).fit()
+    test_accuracy = history.test_accuracy or [None] * len(history.train_loss)
+    rows = [[epoch + 1, round(loss, 4), round(train_acc, 3),
+             round(test_acc, 3) if test_acc is not None else "-"]
+            for epoch, (loss, train_acc, test_acc)
+            in enumerate(zip(history.train_loss, history.train_accuracy, test_accuracy))]
+    _print(format_table(["Epoch", "Train loss", "Train acc", "Test acc"], rows,
+                        title=f"Resumed '{spec.name}' from epoch {payload.get('epoch')} "
+                              f"of {spec.train.epochs}"))
     return 0
 
 
@@ -800,16 +785,22 @@ def cmd_neurons(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Parameters, MACs, training memory and latency of one model."""
-    spec = _legacy_spec(args)
-    try:
-        spec = spec.with_(profile=ProfileSpec(batch_size=args.batch_size,
-                                              latency=args.latency,
-                                              latency_repeats=args.latency_repeats,
-                                              per_layer=args.per_layer,
-                                              compiled=args.compiled,
-                                              backend=args.backend))
-    except ValueError as error:
-        raise CLIError(str(error)) from None
+    # LeNet and SmallConvNet size their classifier head from the input
+    # resolution; the zoo backbones are resolution-agnostic.
+    extra = ({"image_size": args.image_size}
+             if args.model in ("lenet", "small_convnet") else {})
+    spec = ExperimentSpec(
+        seed=args.seed,
+        model=ModelSpec(name=args.model, neuron_type=args.neuron_type,
+                        num_classes=args.num_classes,
+                        width_multiplier=args.width_multiplier, extra=extra),
+        data=DataSpec(num_classes=args.num_classes, image_size=args.image_size,
+                      seed=args.seed),
+        profile=ProfileSpec(batch_size=args.batch_size, latency=args.latency,
+                            latency_repeats=args.latency_repeats,
+                            per_layer=args.per_layer, compiled=args.compiled,
+                            backend=args.backend),
+    )
     experiment = _experiment(spec)
     profile = experiment.profile()
     rows = [
@@ -838,157 +829,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Legacy workflow subcommands (deprecation shims over the experiment API)
-# --------------------------------------------------------------------------- #
-
-def cmd_convert(args: argparse.Namespace) -> int:
-    """Convert a first-order model to a QDNN with the auto-builder."""
-    from ..builder.auto_builder import AutoBuilder
-    from ..utils.seed import seed_everything
-
-    warn_deprecated(
-        "the 'repro convert' subcommand",
-        "'repro run <spec.json>' with ModelSpec(auto_build=True)",
-    )
-    seed_everything(args.seed)
-    spec = _legacy_spec(args)
-    model = spec.model.with_(neuron_type="first_order").build()
-    params_before = model.num_parameters()
-    builder = AutoBuilder(neuron_type=args.neuron_type, hybrid_bp=args.hybrid_bp,
-                          convert_linear=args.convert_linear)
-    report = builder.convert(model)
-    rows = [
-        ["converted layers", report.converted_layers],
-        ["parameters before", f"{params_before:,}"],
-        ["parameters after", f"{report.parameters_after:,}"],
-        ["parameter ratio", f"{report.parameter_ratio:.2f}x"],
-    ]
-    _print(format_table(["Metric", "Value"], rows,
-                        title=f"Auto-builder conversion of {args.model} to {args.neuron_type}"))
-    return 0
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    """Train a model on the synthetic classification workload.
-
-    With ``--resume <checkpoint>`` the run is rebuilt entirely from the spec
-    embedded in the checkpoint file — model, data, recipe and RNG streams all
-    restore, so the completed training is bit-identical to one that was never
-    interrupted.
-    """
-    if args.resume is not None:
-        payload = _checkpoint_payload(args.resume)
-        spec = _spec_from_checkpoint(payload, args.resume)
-        # Clear any stop request the interrupted run carried; keep its
-        # checkpoint_dir so the resumed run goes on writing checkpoints.
-        spec = spec.with_(train=spec.train.with_(resume_from=args.resume,
-                                                 stop_after_epoch=None))
-        experiment = _experiment(spec)
-        history = experiment.fit()
-        title = (f"Resumed '{spec.name}' from epoch {payload.get('epoch')} "
-                 f"of {spec.train.epochs}")
-    else:
-        warn_deprecated(
-            "the 'repro train' subcommand",
-            "'repro run <spec.json>' (see 'repro list presets' for starting points)",
-        )
-        experiment = _experiment(_legacy_spec(args))
-        history = experiment.fit()
-        title = f"Training {args.model} ({args.neuron_type}) on synthetic data"
-    test_accuracy = history.test_accuracy or [None] * len(history.train_loss)
-    rows = [[epoch + 1, round(loss, 4), round(train_acc, 3),
-             round(test_acc, 3) if test_acc is not None else "-"]
-            for epoch, (loss, train_acc, test_acc)
-            in enumerate(zip(history.train_loss, history.train_accuracy, test_accuracy))]
-    _print(format_table(["Epoch", "Train loss", "Train acc", "Test acc"], rows,
-                        title=title))
-    return 0
-
-
-def cmd_ppml(args: argparse.Namespace) -> int:
-    """PPML online-cost analysis before/after conversion."""
-    warn_deprecated(
-        "the 'repro ppml' subcommand",
-        "'repro run <spec.json>' with a PPMLSpec and steps=['build', 'ppml']",
-    )
-    spec = _legacy_spec(args)
-    spec = spec.with_(model=spec.model.with_(neuron_type="first_order"),
-                      ppml=PPMLSpec(strategy=args.strategy, protocol=args.protocol))
-    experiment = _experiment(spec)
-    _, result = experiment.to_ppml()
-    rows = [
-        ["strategy", args.strategy],
-        ["protocol", args.protocol],
-        ["activations replaced", result["activations_replaced"]],
-        ["layers quadratized", result["layers_quadratized"]],
-        ["online latency before",
-         "not runnable" if result["online_latency_ms_before"] is None
-         else f"{result['online_latency_ms_before']:.1f} ms"],
-        ["online latency after", f"{result['online_latency_ms_after']:.1f} ms"],
-        ["online comm before",
-         "not runnable" if result["online_comm_mb_before"] is None
-         else f"{result['online_comm_mb_before']:.1f} MB"],
-        ["online comm after", f"{result['online_comm_mb_after']:.1f} MB"],
-    ]
-    _print(format_table(["Metric", "Value"], rows,
-                        title=f"PPML conversion of {args.model} under {args.protocol}"))
-    return 0
-
-
-def cmd_explore(args: argparse.Namespace) -> int:
-    """Random / evolutionary exploration on the synthetic proxy task."""
-    warn_deprecated(
-        "the 'repro explore' subcommand",
-        "'repro run <spec.json>' with a SearchSpec and steps=['search']",
-    )
-    spec = _legacy_spec(args)
-    spec = spec.with_(
-        search=SearchSpec(
-            strategy=args.strategy, budget=args.budget, top=args.top,
-            epochs=args.epochs, batch_size=args.batch_size,
-            max_batches_per_epoch=args.max_batches, lr=args.lr,
-            space={"min_stages": 2, "max_stages": 3,
-                   "min_convs_per_stage": 1, "max_convs_per_stage": 2,
-                   "width_choices": [16, 32, 64],
-                   "neuron_types": ["first_order", "OURS"]},
-        ),
-        steps=["search"],
-    )
-    experiment = _experiment(spec)
-    result = experiment.search()
-    search = experiment.results["search"]
-    rows = [[e.genome.key(), e.genome.neuron_type, e.genome.num_conv_layers,
-             f"{e.parameters:,}", round(e.accuracy, 3)] for e in result.top(args.top)]
-    _print(format_table(["Candidate", "Neuron", "#Conv", "#Param", "Proxy acc"], rows,
-                        title=f"{args.strategy} search over {search['cardinality']:,} structures "
-                              f"({search['evaluations_used']} evaluations)"))
-    return 0
-
-
-# --------------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------------- #
-
-def _add_model_arguments(parser: argparse.ArgumentParser, default_model: str = "vgg8") -> None:
-    parser.add_argument("--model", default=default_model, choices=IMAGE_MODEL_CHOICES,
-                        help="model family from the registry ('repro list models')")
-    parser.add_argument("--neuron-type", default="OURS",
-                        help="neuron design (first_order, OURS, T2, T3, T4, fan, ...)")
-    parser.add_argument("--num-classes", type=int, default=10)
-    parser.add_argument("--width-multiplier", type=float, default=1.0,
-                        help="scale every channel count (use <1 on slow machines)")
-    parser.add_argument("--image-size", type=int, default=32)
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _add_training_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=int, default=2)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--samples", type=int, default=256, help="synthetic training samples")
-    parser.add_argument("--max-batches", type=int, default=None,
-                        help="cap batches per epoch (for quick smoke runs)")
-    parser.add_argument("--lr", type=float, default=0.05)
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level ``python -m repro`` argument parser."""
@@ -1169,7 +1011,15 @@ def build_parser() -> argparse.ArgumentParser:
     neurons.set_defaults(func=cmd_neurons)
 
     profile = subparsers.add_parser("profile", help="parameters / MACs / memory of a model")
-    _add_model_arguments(profile, default_model="vgg16")
+    profile.add_argument("--model", default="vgg16", choices=IMAGE_MODEL_CHOICES,
+                         help="model family from the registry ('repro list models')")
+    profile.add_argument("--neuron-type", default="OURS",
+                         help="neuron design (first_order, OURS, T2, T3, T4, fan, ...)")
+    profile.add_argument("--num-classes", type=int, default=10)
+    profile.add_argument("--width-multiplier", type=float, default=1.0,
+                         help="scale every channel count (use <1 on slow machines)")
+    profile.add_argument("--image-size", type=int, default=32)
+    profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--batch-size", type=int, default=256)
     profile.add_argument("--per-layer", action="store_true", help="also print per-layer rows")
     profile.add_argument("--latency", action="store_true", help="measure forward latency")
@@ -1181,53 +1031,18 @@ def build_parser() -> argparse.ArgumentParser:
                               f"{', '.join(BACKEND_CHOICES)}")
     profile.set_defaults(func=cmd_profile)
 
-    convert = subparsers.add_parser(
-        "convert", help="[deprecated: use 'run'] auto-build a QDNN from a first-order model")
-    _add_model_arguments(convert, default_model="vgg16")
-    convert.add_argument("--hybrid-bp", action="store_true",
-                         help="use the memory-efficient symbolic-backward layers")
-    convert.add_argument("--convert-linear", action="store_true",
-                         help="also convert dense layers")
-    convert.set_defaults(func=cmd_convert)
-
     train = subparsers.add_parser(
-        "train", help="train on the synthetic workload (--resume continues a "
-                      "checkpoint; the flag-soup form is deprecated: use 'run')")
-    _add_model_arguments(train)
-    _add_training_arguments(train)
-    train.add_argument("--resume", default=None, metavar="CKPT",
-                       help="resume from a training checkpoint written by "
-                            "'repro run --checkpoint-dir' (model flags are ignored; "
-                            "the run rebuilds from the spec inside the checkpoint)")
+        "train", help="resume an interrupted training run from its checkpoint")
+    train.add_argument("--resume", required=True, metavar="CKPT",
+                       help="training checkpoint written by 'repro run --checkpoint-dir' "
+                            "(the run rebuilds from the spec inside the checkpoint)")
     train.set_defaults(func=cmd_train)
-
-    ppml = subparsers.add_parser(
-        "ppml", help="[deprecated: use 'run'] PPML online-cost analysis and conversion")
-    _add_model_arguments(ppml)
-    ppml.add_argument("--strategy", default="quadratic_no_relu",
-                      choices=("square", "quadratic", "quadratic_no_relu"))
-    ppml.add_argument("--protocol", default="delphi", choices=("delphi", "gazelle", "cryptonets"))
-    ppml.set_defaults(func=cmd_ppml)
-
-    explore = subparsers.add_parser(
-        "explore", help="[deprecated: use 'run'] architecture search on the proxy task")
-    _add_model_arguments(explore)
-    _add_training_arguments(explore)
-    explore.add_argument("--strategy", default="random", choices=("random", "evolution"))
-    explore.add_argument("--budget", type=int, default=8, help="proxy evaluations")
-    explore.add_argument("--top", type=int, default=5, help="candidates to print")
-    explore.set_defaults(func=cmd_explore)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    import warnings
-
-    # Deprecation shims must be visible on the console (Python hides
-    # DeprecationWarning outside __main__ by default).
-    warnings.simplefilter("default", DeprecationWarning)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

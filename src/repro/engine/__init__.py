@@ -14,9 +14,9 @@ model).  On top of the shared loop the engine provides:
   (:class:`repro.data.PrefetchDataLoader`) that overlap batch assembly with
   compute without changing numerics.
 
-The legacy entry points in :mod:`repro.training` are thin adapters over this
-engine with their public signatures and history semantics preserved bit for
-bit.
+Direct calls go through ``run_classification`` / ``run_detection`` /
+``run_gan``; :meth:`repro.experiment.Experiment.fit` runs the same engine from
+a declarative spec.
 
 Example
 -------

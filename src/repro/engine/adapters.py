@@ -4,18 +4,17 @@ A :class:`TaskAdapter` owns everything the unified
 :class:`~repro.engine.Trainer` must not know about a workload: how batches
 are produced, what one optimization step does (the GAN adapter owns its
 two-optimizer step), how an epoch is evaluated and recorded, and which state
-a checkpoint must capture.  The four adapters here reproduce the four legacy
-loops of :mod:`repro.training` *bit for bit* — the parity tests in
-``tests/engine`` keep frozen copies of the old loops and compare histories
-and final weights exactly.
+a checkpoint must capture.  The adapters reproduce the pre-engine training
+loops *bit for bit* — the parity tests in ``tests/engine`` keep frozen copies
+of those loops and compare histories and final weights exactly.
 
-The ``run_*`` helpers assemble adapter + trainer for the common case and are
-what the thin public functions in :mod:`repro.training` (and the trainer
-registry behind :meth:`repro.experiment.Experiment.fit`) call.
+The ``run_*`` helpers assemble adapter + trainer for the common case; they are
+the direct-call training entry points, and what the trainer registry behind
+:meth:`repro.experiment.Experiment.fit` calls.
 
-All imports from :mod:`repro.training` are deferred to runtime: the training
-modules import this package for their implementations, so a module-level
-import here would be circular.
+Imports from :mod:`repro.training` (the history types and evaluators) are
+deferred to runtime, as is :mod:`repro.training.pretrain`'s import of this
+package, so neither package needs the other at import time.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ def _wrap_prefetch(loader: DataLoader, prefetch: bool, depth: int,
 # --------------------------------------------------------------------------- #
 
 class ClassificationAdapter(TaskAdapter):
-    """The paper's SGD + CosineAnnealing recipe (legacy ``train_classifier``)."""
+    """The paper's SGD + CosineAnnealing recipe (:func:`run_classification`)."""
 
     task = "classification"
 
@@ -274,7 +273,7 @@ class ClassificationAdapter(TaskAdapter):
 
 
 # --------------------------------------------------------------------------- #
-# Detection (SSD multibox training, legacy ``train_detector``).
+# Detection (SSD multibox training, :func:`run_detection`).
 # --------------------------------------------------------------------------- #
 
 class DetectionAdapter(TaskAdapter):
@@ -358,7 +357,7 @@ class DetectionAdapter(TaskAdapter):
 
 
 # --------------------------------------------------------------------------- #
-# GAN (SNGAN hinge training, legacy ``train_sngan``).
+# GAN (SNGAN hinge training, :func:`run_gan`).
 # --------------------------------------------------------------------------- #
 
 class GANAdapter(TaskAdapter):

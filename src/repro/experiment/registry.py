@@ -17,10 +17,8 @@ Registries
 ``NEURONS``        quadratic neuron designs (views of ``NEURON_TYPES``)
 ``TRAINERS``       ``name -> trainer(model, train_set, test_set, TrainSpec,
                    optimizer_factory=None, callbacks=(), experiment_spec=None)``
-                   — ``Experiment.fit`` passes ``callbacks``/``experiment_spec``
-                   only to trainers whose signature accepts them, so trainers
-                   registered against the older 4+1-argument contract keep
-                   working (they just don't see the engine extras)
+                   — ``Experiment.fit`` passes every argument, so a trainer
+                   accepts all seven
 ``OPTIMIZERS``     ``name -> Optimizer class``
 ``CALLBACKS``      ``name -> repro.engine.Callback subclass``
 

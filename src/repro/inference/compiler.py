@@ -51,7 +51,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..autodiff.grad_mode import inference_mode
-from ..autodiff.ops import conv as conv_ops
 from ..autodiff.ops.conv import conv_output_size
 from ..autodiff.tensor import Tensor
 from ..backends import Backend, get_backend
@@ -501,20 +500,12 @@ def _compile_maxpool(op: Op, build: _FloatBuild) -> Step:
     be = build.backend
     module = op.module
     kernel_size, stride, padding = module.kernel_size, module.stride, module.padding
-    kh, kw = conv_ops._pair(kernel_size)
-    sh, sw = conv_ops._pair(stride if stride is not None else kernel_size)
-    ph, pw = conv_ops._pair(padding)
-    tiled = (sh, sw) == (kh, kw) and (ph, pw) == (0, 0)
 
     def maxpool_step(x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        if tiled and h % kh == 0 and w % kw == 0:
-            # Non-overlapping windows partition the input exactly, and max
-            # selection is order-independent, so the reshape route returns
-            # the same values as the im2col route without gathering columns.
-            return x.reshape(n, c, h // kh, kh, w // kw, kw).max(axis=(3, 5))
-        # General case: the backend's pooling primitive (the reference is the
-        # autodiff op's forward, bit-identical to eager evaluation).
+        # The backend's pooling primitive (the reference is the autodiff op's
+        # forward, bit-identical to eager evaluation).  A reshape-and-max
+        # route for non-overlapping windows is not: NumPy's max keeps the
+        # later of tied -0.0/+0.0 where eager argmax keeps the first.
         return be.maxpool(x, kernel_size, stride, padding)
 
     return maxpool_step

@@ -32,7 +32,8 @@ def max_abs_diff(expected: np.ndarray, actual: np.ndarray) -> float:
     """
     agree = (~np.isfinite(expected)) & (expected == actual)
     agree |= np.isnan(expected) & np.isnan(actual)
-    diff = np.where(agree, 0.0, np.abs(actual - expected))
+    with np.errstate(invalid="ignore"):      # inf - inf only where ``agree`` masks it
+        diff = np.where(agree, 0.0, np.abs(actual - expected))
     return float(np.max(diff))
 
 

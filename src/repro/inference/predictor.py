@@ -245,7 +245,7 @@ class BatchedPredictor:
 
     # ---------------------------------------------------------------- lifecycle
     def close(self, timeout: float = 5.0) -> None:
-        """Stop the worker after it drains the queue (idempotent).
+        """Stop the worker after it drains the queue (idempotent, any thread).
 
         Samples the worker never got to — it was never started, or it timed
         out — are rejected so no caller blocks forever on a dead handle.
@@ -266,11 +266,6 @@ class BatchedPredictor:
             if leftover is not _STOP:
                 leftover._reject(RuntimeError(
                     "predictor closed before this sample was served"))
-
-    #: ``shutdown()`` is the serving-facing name for :meth:`close` — the
-    #: worker-pool integration (``repro.serve``) standardised on it.  Both
-    #: are idempotent and safe to call from any thread.
-    shutdown = close
 
     def __enter__(self) -> "BatchedPredictor":
         return self

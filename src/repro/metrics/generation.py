@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import linalg
 
 from ..autodiff import no_grad
 from ..autodiff.tensor import Tensor
@@ -114,10 +113,15 @@ def frechet_distance(features_real: np.ndarray, features_fake: np.ndarray,
     cov_r = np.cov(features_real, rowvar=False) + eps * np.eye(features_real.shape[1])
     cov_f = np.cov(features_fake, rowvar=False) + eps * np.eye(features_fake.shape[1])
     diff = mu_r - mu_f
-    covmean, _ = linalg.sqrtm(cov_r @ cov_f, disp=False)
-    if np.iscomplexobj(covmean):
-        covmean = covmean.real
-    return float(diff @ diff + np.trace(cov_r) + np.trace(cov_f) - 2.0 * np.trace(covmean))
+    # tr(sqrtm(cov_r @ cov_f)) without a general matrix square root: the
+    # product is similar to the symmetric PSD matrix R @ cov_f @ R with
+    # R = sqrtm(cov_r), so its square root's trace is the sum of the square
+    # roots of that matrix's (real, non-negative) eigenvalues.
+    eigenvalues, eigenvectors = np.linalg.eigh(cov_r)
+    root_r = (eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ eigenvectors.T
+    product_eigenvalues = np.linalg.eigvalsh(root_r @ cov_f @ root_r)
+    trace_covmean = np.sqrt(np.clip(product_eigenvalues, 0.0, None)).sum()
+    return float(diff @ diff + np.trace(cov_r) + np.trace(cov_f) - 2.0 * trace_covmean)
 
 
 def evaluate_generator(proxy: ProxyInception, generated: np.ndarray,

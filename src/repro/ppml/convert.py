@@ -27,7 +27,7 @@ import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Type, Union
 
-from ..builder.auto_builder import _quadratize_module_impl
+from ..builder.auto_builder import quadratize_module
 from ..nn.layers.activations import Identity, LeakyReLU, ReLU, Square
 from ..nn.layers.pooling import AvgPool2d, MaxPool2d
 from ..nn.module import Module
@@ -181,9 +181,9 @@ def to_ppml_friendly(model: Module, strategy: str = "square", neuron_type: str =
         if convert_pooling:
             pools = replace_maxpool_with_avgpool(target, skip_names=skip_names)
     elif strategy == "quadratic":
-        quadratized = _quadratize_module_impl(target, neuron_type=neuron_type, skip_names=skip_names)
+        quadratized = quadratize_module(target, neuron_type=neuron_type, skip_names=skip_names)
     else:  # quadratic_no_relu
-        quadratized = _quadratize_module_impl(target, neuron_type=neuron_type, skip_names=skip_names)
+        quadratized = quadratize_module(target, neuron_type=neuron_type, skip_names=skip_names)
         replaced = remove_activations(target, skip_names=skip_names)
         if convert_pooling:
             pools = replace_maxpool_with_avgpool(target, skip_names=skip_names)

@@ -58,7 +58,6 @@ from ..inference.buffers import BufferPool
 from ..inference.lowering import EXPANDED_KINDS, KINDS, Op, lower
 from ..nn.module import Module
 from ..quadratic.functional import REQUIRED_RESPONSES
-from ..utils.deprecation import warn_deprecated
 from .fixedpoint import FixedPointFormat, decode, encode, truncate
 from .protocols import Protocol, resolve_protocol
 from .trace import LayerTrace, ProtocolTrace, SecureCostEstimate
@@ -381,11 +380,6 @@ class SecurePredictor:
         self.stats.record(trace, 1)
         return out[0]
 
-    def predict_one(self, sample: np.ndarray) -> np.ndarray:
-        """Deprecated alias of :meth:`predict` (the pre-unification name)."""
-        warn_deprecated("SecurePredictor.predict_one", "SecurePredictor.predict")
-        return self.predict(sample)
-
     def predict_batch(self, batch: np.ndarray) -> np.ndarray:
         """Run a batch in one pass (trace counts then cover the whole batch)."""
         out, trace = self.compiled.run(batch)
@@ -401,9 +395,6 @@ class SecurePredictor:
         :class:`repro.inference.Predictor` parity (nothing here blocks)."""
         del timeout
         self._closed = True
-
-    #: Deprecated-era alias kept for symmetry with ``BatchedPredictor``.
-    shutdown = close
 
     def __enter__(self) -> "SecurePredictor":
         return self

@@ -4,7 +4,8 @@ Three endpoints, all JSON:
 
 * ``POST /predict`` — body ``{"input": <nested list>}`` shaped like the
   spec's ``data.input_shape``.  Answers ``{"output": [...], "cached": bool}``.
-  Malformed JSON or a wrong shape is ``400``; over the latency budget is
+  Malformed JSON, a wrong shape or a malformed ``Content-Length`` (any
+  endpoint; the connection then closes) is ``400``; over the latency budget is
   ``429`` with a ``Retry-After`` header (admission control — the client's
   load, not our failure); a saturated pool or a draining server is ``503``
   (load shedding); a worker failure that exhausted its retries is ``500``.
@@ -285,11 +286,17 @@ class AsyncFrontDoor:
                 except ValueError:
                     break                      # not HTTP; hang up
                 headers = await self._read_headers(reader)
-                length = int(headers.get("content-length", 0) or 0)
-                body = await reader.readexactly(length) if length > 0 else b""
-                endpoint, status, payload, extra = await self._route(method, path, body)
-                close = (headers.get("connection", "").lower() == "close"
-                         or version == "HTTP/1.0")
+                length = headers.get("content-length") or "0"
+                if length.isascii() and length.isdigit():
+                    body = await reader.readexactly(int(length))
+                    endpoint, status, payload, extra = await self._route(method, path, body)
+                    close = (headers.get("connection", "").lower() == "close"
+                             or version == "HTTP/1.0")
+                else:
+                    # The body's extent is unknown, so no later byte on this
+                    # connection can be framed as a request: answer and hang up.
+                    endpoint, status, extra, close = "other", 400, [], True
+                    payload = {"error": f"malformed Content-Length: {length!r}"}
                 await self._respond(writer, status, payload, extra, close)
                 latency_ms = (time.perf_counter() - started) * 1000.0
                 self.app.metrics.endpoint(endpoint).record(

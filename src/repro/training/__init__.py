@@ -1,19 +1,20 @@
-"""``repro.training`` — classification / GAN / detection training loops."""
+"""``repro.training`` — training histories, evaluators and backbone pre-training.
 
-from .classification import TrainingHistory, evaluate_classifier, train_classifier
-from .detection import DetectionTrainingHistory, evaluate_detector, train_detector
-from .gan import GANTrainingHistory, generate_images, train_sngan
+The training loops themselves run through :mod:`repro.engine`
+(``run_classification`` / ``run_detection`` / ``run_gan``).
+"""
+
+from .classification import TrainingHistory, evaluate_classifier
+from .detection import DetectionTrainingHistory, evaluate_detector
+from .gan import GANTrainingHistory, generate_images
 from .pretrain import BackbonePretrainNet, load_pretrained_backbone, pretrain_backbone
 
 __all__ = [
     "TrainingHistory",
-    "train_classifier",
     "evaluate_classifier",
     "GANTrainingHistory",
-    "train_sngan",
     "generate_images",
     "DetectionTrainingHistory",
-    "train_detector",
     "evaluate_detector",
     "BackbonePretrainNet",
     "pretrain_backbone",

@@ -1,26 +1,23 @@
 """Classification training (the recipe of paper Sec. 5.2, scaled down).
 
 The paper trains with SGD + CosineAnnealing, initial learning rate 0.1,
-200 epochs, batch 256/128.  The loop itself now lives in the unified
-training engine (:mod:`repro.engine`) as :class:`ClassificationAdapter`;
-this module keeps the public surface — :class:`TrainingHistory`,
-:func:`evaluate_classifier` and the (deprecated) :func:`train_classifier`
-signature — bit-for-bit compatible with the pre-engine loop.
+200 epochs, batch 256/128.  The loop lives in the unified training engine
+(:class:`repro.engine.ClassificationAdapter`, one call:
+:func:`repro.engine.run_classification`); this module holds the history it
+records, :class:`TrainingHistory`, and :func:`evaluate_classifier`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..autodiff import no_grad
 from ..autodiff.tensor import Tensor
 from ..data.dataloader import DataLoader
-from ..data.dataset import Dataset
 from ..nn.module import Module
-from ..utils.deprecation import warn_deprecated
 
 
 @dataclass
@@ -101,49 +98,3 @@ def evaluate_classifier(model: Module, loader: DataLoader) -> float:
             total += len(labels)
     model.train(was_training)
     return correct / max(total, 1)
-
-
-def train_classifier(model: Module, train_dataset: Dataset, test_dataset: Optional[Dataset] = None,
-                     epochs: int = 5, batch_size: int = 64, lr: float = 0.1,
-                     momentum: float = 0.9, weight_decay: float = 5e-4,
-                     scheduler: str = "cosine", label_smoothing: float = 0.0,
-                     grad_probe_layers: Optional[Sequence[str]] = None,
-                     max_batches_per_epoch: Optional[int] = None,
-                     seed: int = 0) -> TrainingHistory:
-    """Deprecated direct-call trainer; see :class:`repro.experiment.Experiment`.
-
-    The recipe is unchanged (it still trains exactly as before, now through
-    the shared :mod:`repro.engine` loop); new code should declare the recipe
-    in a :class:`repro.experiment.TrainSpec` and call
-    ``Experiment(spec).fit()`` so the run is serializable and reproducible.
-    """
-    from ..engine import run_classification
-
-    warn_deprecated(
-        "repro.training.train_classifier(model, dataset, ...)",
-        "repro.experiment.Experiment(spec).fit() with a TrainSpec",
-    )
-    return run_classification(model, train_dataset, test_dataset, epochs=epochs,
-                              batch_size=batch_size, lr=lr, momentum=momentum,
-                              weight_decay=weight_decay, scheduler=scheduler,
-                              label_smoothing=label_smoothing,
-                              grad_probe_layers=grad_probe_layers,
-                              max_batches_per_epoch=max_batches_per_epoch, seed=seed)
-
-
-def __getattr__(name: str):
-    """Deprecation shims for the pre-engine loop internals.
-
-    The loop body that used to live here moved to
-    :class:`repro.engine.ClassificationAdapter`; importing the old private
-    implementation keeps working behind a single :class:`DeprecationWarning`.
-    """
-    if name == "_train_classifier_impl":
-        from ..engine import run_classification
-
-        warn_deprecated(
-            "repro.training.classification._train_classifier_impl",
-            "repro.engine.run_classification (the unified training engine)",
-        )
-        return run_classification
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

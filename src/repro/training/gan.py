@@ -1,9 +1,9 @@
 """SNGAN training with the hinge objective (paper Sec. 5.3, scaled down).
 
-The adversarial loop now runs through the unified engine
-(:class:`repro.engine.GANAdapter`, which owns the two-optimizer step);
-:func:`train_sngan` is a thin adapter preserving the original signature and
-history semantics bit for bit.
+The adversarial loop runs through the unified engine
+(:class:`repro.engine.GANAdapter`, which owns the two-optimizer step; one
+call: :func:`repro.engine.run_gan`); this module holds the history it records
+and the image sampler.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import numpy as np
 
 from ..autodiff import no_grad
 from ..autodiff.tensor import Tensor
-from ..data.synthetic.generation import SyntheticGenerationDataset
-from ..models.sngan import SNGANDiscriminator, SNGANGenerator
+from ..models.sngan import SNGANGenerator
 
 
 @dataclass
@@ -49,23 +48,6 @@ class GANTrainingHistory:
             generator_loss=[float(v) for v in (data.get("generator_loss") or [])],
             discriminator_loss=[float(v) for v in (data.get("discriminator_loss") or [])],
         )
-
-
-def train_sngan(generator: SNGANGenerator, discriminator: SNGANDiscriminator,
-                dataset: SyntheticGenerationDataset, steps: int = 100, batch_size: int = 32,
-                lr_generator: float = 2e-4, lr_discriminator: float = 2e-4,
-                betas=(0.5, 0.9), discriminator_steps: int = 1,
-                seed: int = 0) -> GANTrainingHistory:
-    """Adversarial training with the hinge loss (the SNGAN objective).
-
-    ``discriminator_steps`` controls how many discriminator updates run per
-    generator update (the original SNGAN uses 5; the scaled benchmark uses 1).
-    """
-    from ..engine import run_gan
-
-    return run_gan(generator, discriminator, dataset, steps=steps, batch_size=batch_size,
-                   lr_generator=lr_generator, lr_discriminator=lr_discriminator,
-                   betas=betas, discriminator_steps=discriminator_steps, seed=seed)
 
 
 def generate_images(generator: SNGANGenerator, num_images: int, batch_size: int = 64,

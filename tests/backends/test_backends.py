@@ -253,5 +253,5 @@ class TestWiring:
         try:
             out = predictor.predict(x[0])
         finally:
-            predictor.shutdown()
+            predictor.close()
         np.testing.assert_array_equal(out, compile_model(model)(x[:1])[0])

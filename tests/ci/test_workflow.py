@@ -3,14 +3,17 @@
 CI configuration is code that never runs on a developer's machine, which is
 exactly why it rots.  These tests parse ``.github/workflows/ci.yml`` and
 check the properties the repo depends on: it is valid YAML with the expected
-jobs, every third-party action is pinned to a version, and the tier-1 job
+jobs, every third-party action is pinned to a version, the tier-1 job
 runs *exactly* the ROADMAP's tier-1 verify command, so the gate and the
-documentation can never drift apart.
+documentation can never drift apart, and a clean runner has every package
+the code and the tests import.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,9 @@ WORKFLOW_PATH = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 ROADMAP_PATH = REPO_ROOT / "ROADMAP.md"
 
 EXPECTED_JOBS = {"tests", "lint", "smoke", "bench-gate"}
+
+#: Import names whose pip distribution is spelled differently.
+PIP_NAMES = {"yaml": "pyyaml"}
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +46,29 @@ def all_steps(workflow: dict):
     for job_name, job in workflow["jobs"].items():
         for step in job["steps"]:
             yield job_name, step
+
+
+def third_party_imports(*directories: str) -> dict:
+    """Top-level imported names under ``directories`` that are neither the
+    standard library nor a module of this repository -> importing files."""
+    local = {path.stem for path in REPO_ROOT.rglob("*.py")}
+    local |= {path.parent.name for path in REPO_ROOT.rglob("__init__.py")}
+    found: dict = {}
+    for directory in directories:
+        for path in (REPO_ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top not in sys.stdlib_module_names and top not in local:
+                        found.setdefault(PIP_NAMES.get(top, top), set()).add(
+                            str(path.relative_to(REPO_ROOT)))
+    return found
 
 
 def test_workflow_parses_and_declares_the_expected_jobs(workflow):
@@ -62,6 +91,30 @@ def test_tier1_job_runs_the_roadmap_verify_command_verbatim(workflow):
     run_commands = [step.get("run", "") for _, step in all_steps(workflow)]
     assert any(tier1 in command for command in run_commands), (
         f"no CI step runs the ROADMAP tier-1 command: {tier1}")
+
+
+def test_package_imports_only_its_declared_dependencies():
+    """A clean install of ``pyproject.toml`` must be able to import repro."""
+    match = re.search(r"^dependencies\s*=\s*\[([^\]]*)\]",
+                      (REPO_ROOT / "pyproject.toml").read_text(), re.M)
+    assert match, "pyproject.toml declares no dependencies list"
+    declared = {re.split(r"[<>=!~\[ ;]", name, maxsplit=1)[0].lower()
+                for name in re.findall(r"[\"']([^\"']+)[\"']", match.group(1))}
+    undeclared = {name: files for name, files in third_party_imports("src/repro").items()
+                  if name.lower() not in declared}
+    assert not undeclared, f"imported but not in pyproject dependencies: {undeclared}"
+
+
+def test_tier1_job_installs_everything_the_tests_import(workflow):
+    installs = [step["run"] for step in workflow["jobs"]["tests"]["steps"]
+                if "pip install" in step.get("run", "")]
+    assert installs, "the tier-1 job installs nothing"
+    installed = {token.lower() for run in installs
+                 for token in run.split("pip install", 1)[1].split()}
+    missing = {name: files for name, files in
+               third_party_imports("tests", "bench/tests").items()
+               if name.lower() not in installed}
+    assert not missing, f"tests import packages the tier-1 job never installs: {missing}"
 
 
 def test_tests_job_covers_the_supported_python_matrix(workflow):

@@ -6,17 +6,6 @@ import pytest
 
 from repro.cli import build_parser, main
 
-#: Arguments shared by every training-flavoured smoke invocation to keep the
-#: CLI tests fast on a CPU.  The image size stays at 32 for the VGG-8 runs so
-#: all five pooling stages still see a non-empty feature map.
-FAST = ["--width-multiplier", "0.25", "--image-size", "32", "--num-classes", "4",
-        "--samples", "32", "--epochs", "1", "--batch-size", "16", "--max-batches", "2"]
-
-#: Exploration genomes have at most three pooling stages, so a smaller image is safe.
-FAST_SMALL_IMAGE = ["--width-multiplier", "0.25", "--image-size", "16", "--num-classes", "4",
-                    "--samples", "32", "--epochs", "1", "--batch-size", "16",
-                    "--max-batches", "2"]
-
 
 def run(argv, capsys) -> str:
     assert main(argv) == 0
@@ -40,6 +29,16 @@ def test_parser_rejects_unknown_command():
 def test_parser_rejects_unknown_model():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["profile", "--model", "transformer"])
+
+
+@pytest.mark.parametrize("argv", [["convert"], ["ppml"], ["explore"],
+                                  ["train", "--model", "vgg8"]])
+def test_removed_workflow_subcommands_are_usage_errors(argv, capsys):
+    """Workflows run through `repro run <spec>`; `train` takes only `--resume`."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "usage: repro" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #
@@ -68,50 +67,6 @@ def test_profile_per_layer_and_latency(capsys):
               capsys)
     assert "Per-layer profile" in out
     assert "train latency / batch" in out
-
-
-def test_convert_reports_parameter_ratio(capsys):
-    out = run(["convert", "--model", "vgg8", "--neuron-type", "OURS",
-               "--width-multiplier", "0.25", "--num-classes", "4"], capsys)
-    assert "converted layers" in out
-    assert "parameter ratio" in out
-    # Converting to the three-weight-set neuron must grow the parameter count.
-    ratio_line = next(line for line in out.splitlines() if "parameter ratio" in line)
-    ratio = float(ratio_line.split("|")[-1].strip().rstrip("x"))
-    assert ratio > 1.5
-
-
-def test_train_smoke(capsys):
-    out = run(["train", "--model", "vgg8", "--neuron-type", "OURS", *FAST], capsys)
-    assert "Epoch" in out and "Train acc" in out
-    assert "1" in out
-
-
-def test_ppml_smoke(capsys):
-    out = run(["ppml", "--model", "vgg8", "--strategy", "quadratic_no_relu",
-               "--protocol", "delphi", "--width-multiplier", "0.25", "--image-size", "32",
-               "--num-classes", "4"], capsys)
-    assert "online latency before" in out
-    assert "layers quadratized" in out
-
-
-def test_ppml_cryptonets_marks_unrunnable_baseline(capsys):
-    out = run(["ppml", "--model", "vgg8", "--strategy", "square", "--protocol", "cryptonets",
-               "--width-multiplier", "0.25", "--image-size", "32", "--num-classes", "4"],
-              capsys)
-    assert "not runnable" in out
-
-
-def test_explore_random_smoke(capsys):
-    out = run(["explore", "--strategy", "random", "--budget", "3", *FAST_SMALL_IMAGE], capsys)
-    assert "random search over" in out
-    assert "Proxy acc" in out
-
-
-def test_explore_evolution_smoke(capsys):
-    out = run(["explore", "--strategy", "evolution", "--budget", "4", *FAST_SMALL_IMAGE],
-              capsys)
-    assert "evolution search over" in out
 
 
 def test_infer_smoke(capsys):

@@ -1,17 +1,16 @@
 """CLI checkpoint workflows: run --checkpoint-dir / train --resume /
-serve --from-checkpoint, plus the deprecation shim for the old loop internals."""
+serve --from-checkpoint."""
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.experiment import Experiment, ExperimentSpec, get_preset
-from repro.utils import load_training_checkpoint, reset_deprecation_warnings
+from repro.utils import load_training_checkpoint
 
 
 def run(argv, capsys) -> str:
@@ -108,33 +107,3 @@ class TestServeFromCheckpoint:
                 steps=1, batch_size=4, checkpoint_dir=str(tmp_path))
         assert main(["serve", "--from-checkpoint", str(tmp_path / "latest.npz")]) == 2
         assert "classification" in capsys.readouterr().err
-
-
-class TestLoopInternalsShim:
-    def test_old_impl_import_warns_once_and_still_trains(self):
-        reset_deprecation_warnings()
-        import repro.training.classification as classification
-
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            impl = classification._train_classifier_impl
-        # Second access is silent (single-warning policy).
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            classification._train_classifier_impl  # noqa: B018
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-        from repro.data import TensorDataset
-        from repro.data.synthetic.toy import xor_dataset
-        from repro.models import QuadraticMLP
-
-        x, y = xor_dataset(64)
-        history = impl(QuadraticMLP([2, 8, 2]), TensorDataset(x, y), epochs=1,
-                       batch_size=16)
-        assert len(history.train_loss) == 1
-        reset_deprecation_warnings()
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.training.classification as classification
-
-        with pytest.raises(AttributeError):
-            classification._no_such_loop

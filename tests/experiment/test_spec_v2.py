@@ -55,30 +55,6 @@ class TestEngineFields:
             spec.validate()
 
 
-class TestLegacyTrainerSignature:
-    def test_old_style_registered_trainer_still_works(self):
-        """Experiment.fit withholds the engine extras from trainers that were
-        registered against the PR 1 contract (no callbacks/experiment_spec)."""
-        from repro.experiment import TRAINERS, Experiment
-        from repro.training.classification import TrainingHistory
-
-        name = "legacy-signature-trainer"
-        seen = {}
-
-        def old_style(model, train_set, test_set, spec, optimizer_factory=None):
-            seen["called"] = True
-            return TrainingHistory(train_loss=[1.0])
-
-        TRAINERS.register(name, old_style)
-        try:
-            spec = ExperimentSpec(train=TrainSpec(trainer=name, epochs=1))
-            history = Experiment(spec).fit()
-            assert seen["called"] and history.train_loss == [1.0]
-        finally:
-            TRAINERS._entries.pop(name.lower(), None)
-            TRAINERS._display.pop(name.lower(), None)
-
-
 class TestHistoryCompat:
     def test_training_history_tolerates_missing_and_none_fields(self):
         from repro.training.classification import TrainingHistory

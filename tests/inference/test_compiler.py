@@ -32,6 +32,8 @@ def assert_compiled_matches(model, x: np.ndarray, atol: float = 0.0,
     assert actual.dtype == expected.dtype
     if atol == 0.0 and rtol == 0.0:
         np.testing.assert_array_equal(actual, expected)
+        # assert_array_equal treats -0.0 == +0.0; exact means the same bits.
+        assert actual.tobytes() == expected.tobytes()
     else:
         np.testing.assert_allclose(actual, expected, atol=atol, rtol=rtol)
     return compiled
@@ -93,6 +95,13 @@ class TestLayerRules:
             model = nn.Sequential(nn.MaxPool2d(**kwargs))
             x = RNG.standard_normal((2, 3, 12, 12)).astype(np.float32)
             assert_compiled_matches(model, x)
+        # Ties between -0.0 and +0.0 keep the first, as eager argmax does,
+        # and NaN/inf windows agree too.
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0],
+                           dtype=np.float32)
+        x = np.random.default_rng(11).choice(special, size=(2, 3, 12, 12))
+        for kernel_size in (2, (2, 4)):
+            assert_compiled_matches(nn.Sequential(nn.MaxPool2d(kernel_size)), x)
 
     def test_activation_zoo_matches(self):
         model = nn.Sequential(nn.LeakyReLU(0.1), nn.Sigmoid(), nn.Tanh(),

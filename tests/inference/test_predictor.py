@@ -119,14 +119,13 @@ class TestShutdownRobustness:
     def test_shutdown_is_an_idempotent_alias_of_close(self):
         predictor = BatchedPredictor(small_model())
         predictor.predict(samples(1)[0])
-        predictor.shutdown()
-        predictor.shutdown()          # double-shutdown must be a no-op
-        predictor.close()             # and mixing the two names is fine
+        predictor.close()
+        predictor.close()             # double-close must be a no-op
 
     def test_submit_after_shutdown_raises_a_clear_error(self):
         predictor = BatchedPredictor(small_model())
         predictor.predict(samples(1)[0])
-        predictor.shutdown()
+        predictor.close()
         with pytest.raises(RuntimeError, match="create a new BatchedPredictor"):
             predictor.submit(samples(1)[0])
         # A second violation gets the same clear answer, not a hang.
@@ -137,7 +136,7 @@ class TestShutdownRobustness:
         predictor = BatchedPredictor(small_model())
         predictor.predict(samples(1)[0])
         assert predictor._worker is not None and predictor._worker.daemon
-        predictor.shutdown()
+        predictor.close()
 
     def test_abandoned_predictor_does_not_hang_interpreter_exit(self):
         # A predictor that was never closed must not keep the interpreter
@@ -212,14 +211,18 @@ class TestMeasureServing:
         assert results["max_abs_diff"] == 0.0       # compared in eval mode
 
     def test_max_abs_diff_treats_matching_nonfinite_as_agreement(self):
+        import warnings
+
         from repro.inference import max_abs_diff
 
-        a = np.array([1.0, np.inf, np.nan, -np.inf], dtype=np.float32)
-        assert max_abs_diff(a, a.copy()) == 0.0
-        b = np.array([1.0, np.inf, 0.0, -np.inf], dtype=np.float32)
-        assert np.isnan(max_abs_diff(a, b))         # NaN vs finite surfaces
-        c = np.array([1.5, np.inf, np.nan, -np.inf], dtype=np.float32)
-        assert max_abs_diff(a, c) == 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # masked inf - inf stays silent
+            a = np.array([1.0, np.inf, np.nan, -np.inf], dtype=np.float32)
+            assert max_abs_diff(a, a.copy()) == 0.0
+            b = np.array([1.0, np.inf, 0.0, -np.inf], dtype=np.float32)
+            assert np.isnan(max_abs_diff(a, b))         # NaN vs finite surfaces
+            c = np.array([1.5, np.inf, np.nan, -np.inf], dtype=np.float32)
+            assert max_abs_diff(a, c) == 0.5
 
 
 class TestExperimentIntegration:

@@ -151,6 +151,19 @@ class TestGenerationMetrics:
         far = real + 3.0
         assert frechet_distance(real, far) > frechet_distance(real, near)
 
+    def test_frechet_distance_matches_the_closed_form_for_diagonal_covariances(self):
+        # Orthogonal zero-mean design columns give exactly diagonal sample
+        # covariances a and b, where FID = |mu_r - mu_f|^2 + sum((sqrt a - sqrt b)^2).
+        design = np.array([[1, 1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, 1]], dtype=np.float64)
+        mu_r, mu_f = np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.0, 2.0])
+        scale_r, scale_f = np.array([1.0, 2.0, 0.5]), np.array([3.0, 0.5, 0.5])
+        eps = 1e-6
+        a = 4.0 / 3.0 * scale_r ** 2 + eps          # column variance (ddof=1) + eps
+        b = 4.0 / 3.0 * scale_f ** 2 + eps
+        expected = np.sum((mu_r - mu_f) ** 2) + np.sum((np.sqrt(a) - np.sqrt(b)) ** 2)
+        distance = frechet_distance(mu_r + design * scale_r, mu_f + design * scale_f, eps=eps)
+        assert distance == pytest.approx(expected, rel=1e-9)
+
     def test_proxy_inception_end_to_end(self):
         from repro.data.synthetic import SyntheticGenerationDataset
 

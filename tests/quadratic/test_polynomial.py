@@ -12,8 +12,8 @@ from repro.autodiff import no_grad, randn
 from repro.autodiff.tensor import Tensor
 from repro.data import TensorDataset
 from repro.data.synthetic import xor_dataset
+from repro.engine import run_classification
 from repro.quadratic import PolyConv2d, PolyLinear, polynomial_layer, typenew
-from repro.training import train_classifier
 
 
 def rand(*shape, seed=0):
@@ -147,7 +147,7 @@ def test_poly_conv_composes_in_sequential_and_trains():
     x, y = xor_dataset(200)
     dataset = TensorDataset(x, y)
     model = nn.Sequential(PolyLinear(2, 8, order=2), nn.ReLU(), nn.Linear(8, 2))
-    history = train_classifier(model, dataset, epochs=10, batch_size=32, lr=0.05)
+    history = run_classification(model, dataset, epochs=10, batch_size=32, lr=0.05)
     assert history.final_train_accuracy > 0.6
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    AsyncFrontDoor,
     PoolSaturated,
     ServeConfig,
     ServingApp,
@@ -149,6 +151,35 @@ class TestServeEntryPointArguments:
         assert server.config.workers == 3
         assert server.config.port == 0
         assert server.config.cache_size == 7   # server never started: no cleanup
+
+
+def raw_http(port: int, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; everything read until it closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestFrontDoorFraming:
+    @pytest.mark.parametrize("length", [b"abc", b"1.5", b"-5"])
+    def test_malformed_content_length_is_400_and_closes(self, length):
+        door = AsyncFrontDoor(make_app(), "127.0.0.1", 0).start()
+        try:
+            # The bytes after the headers must not be parsed as a second request.
+            response = raw_http(door.port, b"POST /predict HTTP/1.1\r\nContent-Length: "
+                                + length + b"\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n")
+            assert response.startswith(b"HTTP/1.1 400 ")
+            assert response.count(b"HTTP/1.1 ") == 1
+            assert b"Connection: close" in response
+            assert b"Content-Length" in response.split(b"\r\n\r\n", 1)[1]
+            healthz = raw_http(door.port, b"GET /healthz HTTP/1.1\r\n"
+                                          b"Connection: close\r\n\r\n")
+            assert healthz.startswith(b"HTTP/1.1 200 ")
+        finally:
+            door.shutdown()
 
 
 # --------------------------------------------------------------------------- #

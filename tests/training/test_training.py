@@ -12,6 +12,7 @@ from repro.data.synthetic import (
     circle_dataset,
     xor_dataset,
 )
+from repro.engine import run_classification, run_detection, run_gan
 from repro.models import QuadraticMLP, SmallConvNet, build_ssd, sngan_pair
 from repro.training import (
     evaluate_classifier,
@@ -19,9 +20,6 @@ from repro.training import (
     generate_images,
     load_pretrained_backbone,
     pretrain_backbone,
-    train_classifier,
-    train_detector,
-    train_sngan,
 )
 from repro.training.pretrain import BackbonePretrainNet
 from repro.utils import seed_everything
@@ -31,14 +29,14 @@ class TestClassificationTraining:
     def test_loss_decreases_on_toy_task(self):
         x, y = circle_dataset(256, seed=0)
         model = QuadraticMLP([2, 12, 2])
-        history = train_classifier(model, TensorDataset(x, y), epochs=8, batch_size=64, lr=0.05)
+        history = run_classification(model, TensorDataset(x, y), epochs=8, batch_size=64, lr=0.05)
         assert history.train_loss[-1] < history.train_loss[0]
         assert history.final_train_accuracy > 0.8
 
     def test_history_lengths_match_epochs(self):
         x, y = xor_dataset(128)
         model = QuadraticMLP([2, 8, 2])
-        history = train_classifier(model, TensorDataset(x, y), epochs=3, batch_size=32)
+        history = run_classification(model, TensorDataset(x, y), epochs=3, batch_size=32)
         assert len(history.train_loss) == 3
         assert len(history.seconds_per_batch) == 3
 
@@ -48,7 +46,7 @@ class TestClassificationTraining:
                                             split_seed=1)
         model = SmallConvNet(num_classes=4, image_size=16,
                              config=QuadraticModelConfig(width_multiplier=0.5))
-        history = train_classifier(model, train, test, epochs=2, batch_size=32, lr=0.05)
+        history = run_classification(model, train, test, epochs=2, batch_size=32, lr=0.05)
         assert len(history.test_accuracy) == 2
         assert 0.0 <= history.best_test_accuracy <= 1.0
 
@@ -56,15 +54,15 @@ class TestClassificationTraining:
         train = SyntheticImageClassification(num_samples=256, num_classes=4, image_size=16)
         model = SmallConvNet(num_classes=4, image_size=16,
                              config=QuadraticModelConfig(width_multiplier=0.5))
-        history = train_classifier(model, train, epochs=1, batch_size=16,
-                                   max_batches_per_epoch=2)
+        history = run_classification(model, train, epochs=1, batch_size=16,
+                                     max_batches_per_epoch=2)
         assert len(history.train_loss) == 1
 
     def test_gradient_probe_layers_recorded(self):
         x, y = xor_dataset(128)
         model = QuadraticMLP([2, 8, 2])
-        history = train_classifier(model, TensorDataset(x, y), epochs=2, batch_size=32,
-                                   grad_probe_layers=["0."])
+        history = run_classification(model, TensorDataset(x, y), epochs=2, batch_size=32,
+                                     grad_probe_layers=["0."])
         assert history.gradient_norms
         assert all(len(v) == 2 for v in history.gradient_norms.values())
 
@@ -88,10 +86,10 @@ class TestClassificationTraining:
         x, y = xor_dataset(128)
         seed_everything(3)
         m1 = QuadraticMLP([2, 8, 2])
-        h1 = train_classifier(m1, TensorDataset(x, y), epochs=2, batch_size=32, seed=1)
+        h1 = run_classification(m1, TensorDataset(x, y), epochs=2, batch_size=32, seed=1)
         seed_everything(3)
         m2 = QuadraticMLP([2, 8, 2])
-        h2 = train_classifier(m2, TensorDataset(x, y), epochs=2, batch_size=32, seed=1)
+        h2 = run_classification(m2, TensorDataset(x, y), epochs=2, batch_size=32, seed=1)
         assert np.allclose(h1.train_loss, h2.train_loss, atol=1e-6)
 
     def test_history_round_trips_through_dicts(self):
@@ -101,8 +99,8 @@ class TestClassificationTraining:
 
         x, y = xor_dataset(128)
         model = QuadraticMLP([2, 8, 2])
-        history = train_classifier(model, TensorDataset(x, y), TensorDataset(x, y),
-                                   epochs=2, batch_size=32, grad_probe_layers=["0."])
+        history = run_classification(model, TensorDataset(x, y), TensorDataset(x, y),
+                                     epochs=2, batch_size=32, grad_probe_layers=["0."])
         restored = TrainingHistory.from_dict(json.loads(json.dumps(history.to_dict())))
         assert restored.train_loss == history.train_loss
         assert restored.train_accuracy == history.train_accuracy
@@ -122,7 +120,7 @@ class TestGANTraining:
     def test_losses_recorded_and_finite(self):
         dataset = SyntheticGenerationDataset(num_samples=64, image_size=16)
         gen, disc = sngan_pair(latent_dim=8, base_channels=8, image_size=16)
-        history = train_sngan(gen, disc, dataset, steps=4, batch_size=8)
+        history = run_gan(gen, disc, dataset, steps=4, batch_size=8)
         assert len(history.generator_loss) == 4
         assert np.isfinite(history.final_generator_loss)
         assert np.isfinite(history.final_discriminator_loss)
@@ -135,13 +133,13 @@ class TestGANTraining:
     def test_discriminator_steps_parameter(self):
         dataset = SyntheticGenerationDataset(num_samples=32, image_size=16)
         gen, disc = sngan_pair(latent_dim=8, base_channels=8, image_size=16)
-        history = train_sngan(gen, disc, dataset, steps=2, batch_size=8, discriminator_steps=2)
+        history = run_gan(gen, disc, dataset, steps=2, batch_size=8, discriminator_steps=2)
         assert len(history.discriminator_loss) == 2
 
     def test_quadratic_generator_trains(self):
         dataset = SyntheticGenerationDataset(num_samples=32, image_size=16)
         gen, disc = sngan_pair(latent_dim=8, base_channels=8, image_size=16, neuron_type="OURS")
-        history = train_sngan(gen, disc, dataset, steps=3, batch_size=8)
+        history = run_gan(gen, disc, dataset, steps=3, batch_size=8)
         assert np.isfinite(history.final_generator_loss)
 
 
@@ -151,13 +149,13 @@ class TestDetectionTraining:
 
     def test_loss_decreases(self):
         model = build_ssd(num_classes=3, image_size=64, width_multiplier=0.25)
-        history = train_detector(model, self._dataset(32), epochs=3, batch_size=8, lr=5e-3)
+        history = run_detection(model, self._dataset(32), epochs=3, batch_size=8, lr=5e-3)
         assert history.loss[-1] < history.loss[0]
 
     def test_history_length(self):
         model = build_ssd(num_classes=3, image_size=64, width_multiplier=0.25)
-        history = train_detector(model, self._dataset(16), epochs=2, batch_size=8,
-                                 max_batches_per_epoch=1)
+        history = run_detection(model, self._dataset(16), epochs=2, batch_size=8,
+                                max_batches_per_epoch=1)
         assert len(history.loss) == 2
 
     def test_evaluate_detector_output(self):
