@@ -5,8 +5,9 @@ The paper instruments a small ConvNet (3 conv + 2 FC layers, batch 256,
 hybrid back-propagation scheme reduces the peak memory of a forward+backward
 iteration by ~26.7% (3.0 GB → 2.2 GB).  This benchmark reproduces the same
 curve with the allocation tracker: cached-intermediate bytes over the events
-of one iteration, for the composed (default-AD) quadratic ConvNet and the
-hybrid (symbolic-backward) one.
+of one iteration, for the default quadratic ConvNet (each quadratic
+convolution node keeps the responses its backward reads) and the hybrid-BP
+one (the node keeps only its input and weights and recomputes the responses).
 """
 
 import numpy as np
@@ -54,9 +55,9 @@ def test_fig8_hybrid_bp_memory_curve(benchmark):
 
     saving = 1.0 - hybrid_tracker.peak_bytes / default_tracker.peak_bytes
     rows = [
-        ["Default BP (composed AD)", round(mb(default_forward_peak), 1),
+        ["Default BP (responses kept)", round(mb(default_forward_peak), 1),
          round(mb(default_tracker.peak_bytes), 1), "-"],
-        ["Hybrid BP (symbolic)", round(mb(hybrid_forward_peak), 1),
+        ["Hybrid BP (recomputed)", round(mb(hybrid_forward_peak), 1),
          round(mb(hybrid_tracker.peak_bytes), 1), f"{saving * 100:.1f}%"],
     ]
     print()

@@ -5,10 +5,11 @@ Run with::
     python examples/memory_efficient_training.py
 
 The script profiles one forward+backward iteration of the same quadratic
-ConvNet built two ways — composed from autodiff primitives (default AD) and
-as single symbolic-backward layers (hybrid BP) — and prints the cached-memory
-curves and the peak saving, then verifies both versions produce identical
-gradients.
+ConvNet under the two policies of the quadratic convolution node — keep the
+responses its backward reads (default) or keep only the layer input and
+weights and recompute the responses (hybrid BP) — and prints the
+cached-memory curves and the peak saving, then verifies both versions produce
+identical gradients.
 """
 
 import numpy as np
@@ -64,9 +65,9 @@ def main() -> None:
     saving = 1 - hybrid_tracker.peak_bytes / default_tracker.peak_bytes
     print_table(
         ["Back-propagation scheme", "Peak cached memory (MiB)"],
-        [["Default AD (composed quadratic layers)",
+        [["Default BP (responses kept)",
           f"{default_tracker.peak_bytes / 2**20:.1f}"],
-         ["Hybrid BP (symbolic quadratic layers)",
+         ["Hybrid BP (responses recomputed)",
           f"{hybrid_tracker.peak_bytes / 2**20:.1f}"]],
         title=f"One training iteration, batch {BATCH} (saving: {saving:.1%})",
     )
@@ -77,14 +78,13 @@ def main() -> None:
     # Hybrid BP is purely a memory optimisation: gradients are identical.
     from repro.quadratic import HybridQuadraticConv2d, QuadraticConv2d
 
-    composed = QuadraticConv2d(3, 8, kernel_size=3, padding=1, neuron_type="OURS")
+    default = QuadraticConv2d(3, 8, kernel_size=3, padding=1, neuron_type="OURS")
     hybrid = HybridQuadraticConv2d(3, 8, kernel_size=3, padding=1)
-    for name in ("weight_a", "weight_b", "weight_c", "bias"):
-        getattr(hybrid, name).data[...] = getattr(composed, name).data
+    hybrid.load_state_dict(default.state_dict())
     x = Tensor(rng.standard_normal((2, 3, 16, 16)).astype(np.float32))
-    composed(x).sum().backward()
+    default(x).sum().backward()
     hybrid(x).sum().backward()
-    max_diff = max(float(np.abs(getattr(composed, n).grad - getattr(hybrid, n).grad).max())
+    max_diff = max(float(np.abs(getattr(default, n).grad - getattr(hybrid, n).grad).max())
                    for n in ("weight_a", "weight_b", "weight_c"))
     print(f"\nMax gradient difference between the two schemes: {max_diff:.2e} "
           "(identical up to float32 rounding)")

@@ -16,10 +16,11 @@ runs ``forward``, wraps the result in a new :class:`~repro.autodiff.tensor.Tenso
 and, when gradient mode is active, records the node in the dynamic graph.
 
 This module is the key substrate piece behind QuadraLib's hybrid
-back-propagation (paper Sec. 4.3): quadratic layers can either be composed of
-many small ``Function`` nodes (default AD, many cached intermediates) or be a
-single ``Function`` with a hand-derived, symbolic backward that caches only the
-layer inputs and weights.
+back-propagation (paper Sec. 4.3): a quadratic convolution is a single
+``Function`` with a hand-derived backward rather than a graph of small nodes
+(one convolution per projection plus the Hadamard product), and what that node
+saves for backward is a policy — the responses its backward reads by default,
+only the layer input and weights under hybrid BP, which recomputes the rest.
 """
 
 from __future__ import annotations

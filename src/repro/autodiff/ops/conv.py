@@ -82,6 +82,30 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int, kw: in
     return padded
 
 
+def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: Tuple[int, int],
+               padding: Tuple[int, int], groups: int) -> np.ndarray:
+    """Grouped 2-D convolution of raw arrays, without bias.
+
+    The arithmetic every eager convolution runs — :class:`Conv2d` and each
+    projection of a quadratic convolution — so their outputs share bits.
+    """
+    n, c, h, wd = x.shape
+    f, c_g, kh, kw = w.shape
+    if c != c_g * groups:
+        raise ValueError(
+            f"Conv2d channel mismatch: input has {c} channels but weight "
+            f"expects {c_g * groups} (groups={groups})"
+        )
+    oh = conv_output_size(h, kh, stride[0], padding[0])
+    ow = conv_output_size(wd, kw, stride[1], padding[1])
+    cols = im2col(x, kh, kw, stride, padding)          # (N, C, kh, kw, OH, OW)
+    cols = cols.reshape(n, groups, c_g * kh * kw, oh * ow)
+    wmat = w.reshape(groups, f // groups, c_g * kh * kw)
+    # (N, G, Fg, OH*OW) = (G, Fg, K) @ (N, G, K, OH*OW)
+    out = np.einsum("gfk,ngko->ngfo", wmat, cols, optimize=True)
+    return out.reshape(n, f, oh, ow)
+
+
 class Conv2d(Function):
     """Grouped 2-D convolution ``out = conv(x, w) + b``.
 
@@ -95,25 +119,9 @@ class Conv2d(Function):
                 groups: int = 1) -> np.ndarray:
         stride = _pair(stride)
         padding = _pair(padding)
-        n, c, h, wd = x.shape
-        f, c_g, kh, kw = w.shape
-        if c != c_g * groups:
-            raise ValueError(
-                f"Conv2d channel mismatch: input has {c} channels but weight "
-                f"expects {c_g * groups} (groups={groups})"
-            )
-        oh = conv_output_size(h, kh, stride[0], padding[0])
-        ow = conv_output_size(wd, kw, stride[1], padding[1])
-
-        cols = im2col(x, kh, kw, stride, padding)          # (N, C, kh, kw, OH, OW)
-        cols = cols.reshape(n, groups, c_g * kh * kw, oh * ow)
-        wmat = w.reshape(groups, f // groups, c_g * kh * kw)
-
-        # (N, G, Fg, OH*OW) = (G, Fg, K) @ (N, G, K, OH*OW)
-        out = np.einsum("gfk,ngko->ngfo", wmat, cols, optimize=True)
-        out = out.reshape(n, f, oh, ow)
+        out = conv2d_raw(x, w, stride, padding, groups)
         if b is not None:
-            out += b.reshape(1, f, 1, 1)
+            out += b.reshape(1, w.shape[0], 1, 1)
 
         ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
         ctx.x_shape, ctx.w_shape = x.shape, w.shape

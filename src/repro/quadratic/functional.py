@@ -22,7 +22,8 @@ operations that any DNN library already provides.
 Two parallel families are exposed:
 
 * ``combine_*`` / ``COMBINERS`` operate on autodiff :class:`Tensor` values and
-  participate in the gradient graph — the training path.
+  participate in the gradient graph — the training path of the dense and
+  full-rank layers.
 * ``fused_combine_*`` / ``FUSED_COMBINERS`` operate on raw NumPy arrays and
   fuse the Hadamard-product-plus-sum into ``multiply``/``add`` calls with
   ``out=`` buffers — the inference path used by :mod:`repro.inference`,
@@ -30,7 +31,14 @@ Two parallel families are exposed:
   across calls.  The element-wise primitives are resolved through the
   ``ops`` argument (default: NumPy itself) so a compute backend
   (:mod:`repro.backends`) can redirect them by passing itself — the fused
-  kernels dispatch through the backend rather than hard-wiring NumPy.
+  kernels dispatch through the backend rather than hard-wiring NumPy.  The
+  single-node quadratic convolution
+  (:class:`~repro.quadratic.layers.qconv.QuadraticConv2dFunction`) combines
+  its forward with them too, so training and inference share the bits.
+
+``COMBINE_BACKWARDS`` / ``COMBINE_READS`` give the gradient of each composable
+combination with respect to its responses, and which responses it reads: the
+backward of that node, and what it keeps for it.
 """
 
 from __future__ import annotations
@@ -207,4 +215,58 @@ FUSED_COMBINERS: Dict[str, Callable[..., np.ndarray]] = {
     "T1_2": fused_combine_t1_2,
     "T2_4": fused_combine_t2_4,
     "OURS": fused_combine_ours,
+}
+
+
+# --------------------------------------------------------------------------- #
+# Combination backward (single-node quadratic convolution)
+# --------------------------------------------------------------------------- #
+#
+# ``COMBINE_BACKWARDS[type](grad, *read)`` returns the gradient of the loss
+# with respect to each response of ``REQUIRED_RESPONSES[type]``, in order,
+# given the gradient with respect to the combined output.  ``read`` are the
+# responses named by ``COMBINE_READS[type]`` — the only ones the combination's
+# backward needs, hence the only ones a single-node layer has to keep (or, under
+# hybrid back-propagation, recompute).  The products are the ones the composed
+# ``Mul``/``Add`` graph computes.
+
+def combine_backward_t2(grad: np.ndarray) -> tuple:
+    """T2: the identity combination passes the gradient through."""
+    return (grad,)
+
+
+def combine_backward_t3(grad: np.ndarray, a: np.ndarray) -> tuple:
+    """T3: ``∂(a ∘ a)/∂a``, summed as the composed graph sums its two operands."""
+    half = grad * a
+    return (half + half,)
+
+
+def combine_backward_t4(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """T4: ``∂(a ∘ b)`` — each factor's gradient is the other factor times ``grad``."""
+    return grad * b, grad * a
+
+
+def combine_backward_t4_plus(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """T4_ID, T2&4 and OURS: ``a ∘ b`` plus a third response that passes ``grad`` through."""
+    return grad * b, grad * a, grad
+
+
+#: Responses each combination's backward reads, per composable type name.
+COMBINE_READS: Dict[str, tuple] = {
+    "T2": (),
+    "T3": ("a",),
+    "T4": ("a", "b"),
+    "T4_ID": ("a", "b"),
+    "T2_4": ("a", "b"),
+    "OURS": ("a", "b"),
+}
+
+#: Gradient of each combination with respect to its responses (raw arrays).
+COMBINE_BACKWARDS: Dict[str, Callable[..., tuple]] = {
+    "T2": combine_backward_t2,
+    "T3": combine_backward_t3,
+    "T4": combine_backward_t4,
+    "T4_ID": combine_backward_t4_plus,
+    "T2_4": combine_backward_t4_plus,
+    "OURS": combine_backward_t4_plus,
 }

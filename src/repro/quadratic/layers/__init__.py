@@ -4,14 +4,11 @@ from .base import QuadraticLayerBase
 from .hybrid import (
     HybridQuadraticConv2d,
     HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dFanFunction,
-    HybridQuadraticConv2dFunction,
     HybridQuadraticConv2dT4,
-    HybridQuadraticConv2dT4Function,
     HybridQuadraticLinear,
     HybridQuadraticLinearFunction,
 )
-from .qconv import QuadraticConv2d, QuadraticConv2dT1
+from .qconv import QuadraticConv2d, QuadraticConv2dFunction, QuadraticConv2dT1
 from .qlinear import QuadraticLinear
 
 __all__ = [
@@ -19,12 +16,10 @@ __all__ = [
     "QuadraticLinear",
     "QuadraticConv2d",
     "QuadraticConv2dT1",
+    "QuadraticConv2dFunction",
     "HybridQuadraticConv2d",
     "HybridQuadraticConv2dT4",
     "HybridQuadraticConv2dFan",
     "HybridQuadraticLinear",
-    "HybridQuadraticConv2dFunction",
-    "HybridQuadraticConv2dT4Function",
-    "HybridQuadraticConv2dFanFunction",
     "HybridQuadraticLinearFunction",
 ]

@@ -1,8 +1,7 @@
 """Hybrid back-propagation quadratic layers (the paper's quadratic optimizer).
 
-Default automatic differentiation builds the quadratic layer out of many
-primitive nodes — three convolutions plus a Hadamard product — and each node
-caches its own inputs for the backward pass.  In particular the Hadamard
+A composed quadratic layer — three convolutions plus a Hadamard product —
+caches each node's inputs for the backward pass; in particular the Hadamard
 product keeps *both* first-order responses ``Wa X`` and ``Wb X`` alive for the
 whole forward/backward round trip, which is exactly the extra intermediate
 memory the paper's P6 complains about.
@@ -19,10 +18,13 @@ first-order responses are recomputed on demand during backward.  Everything
 outside quadratic layers (BatchNorm, pooling, losses) still uses ordinary AD —
 hence *hybrid*.
 
-``HybridQuadraticConv2d``/``HybridQuadraticLinear`` are drop-in replacements
-for the ``OURS``-type composed layers: same parameters, same forward values,
-same gradients (verified by the test suite), lower training memory
-(measured by ``bench_fig8_hybrid_bp``).
+Every :class:`~repro.quadratic.QuadraticConv2d` already trains as that single
+node (:class:`~repro.quadratic.layers.qconv.QuadraticConv2dFunction`), keeping
+the responses its backward reads.  The hybrid convolutions below are the same
+node with the recompute policy: same parameters, state-dict keys, forward bits
+and gradients (up to float32 summation order), lower training memory
+(measured by ``bench_fig8_hybrid_bp``).  ``HybridQuadraticLinear`` is the
+dense counterpart of the ``OURS`` design, with its own symbolic node.
 """
 
 from __future__ import annotations
@@ -32,320 +34,50 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ...autodiff.function import Context, Function
-from ...autodiff.ops.conv import col2im, conv_output_size, im2col
 from ...autodiff.tensor import Tensor
 from ...nn import init
 from ...nn.module import Module
 from ...nn.parameter import Parameter
+from .qconv import QuadraticConv2d
 
 IntOrPair = Union[int, Tuple[int, int]]
 
 
-def _pair(value: IntOrPair) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
+class _HybridQuadraticConv2d(QuadraticConv2d):
+    """``QuadraticConv2d`` of a fixed design that recomputes its responses in backward."""
 
-
-# --------------------------------------------------------------------------- #
-# Raw (ndarray-level) convolution helpers shared by forward and symbolic backward
-# --------------------------------------------------------------------------- #
-
-def _conv_forward_raw(x: np.ndarray, w: np.ndarray, stride, padding, groups: int) -> np.ndarray:
-    n, c, h, wd = x.shape
-    f, c_g, kh, kw = w.shape
-    oh = conv_output_size(h, kh, stride[0], padding[0])
-    ow = conv_output_size(wd, kw, stride[1], padding[1])
-    cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_g * kh * kw, oh * ow)
-    wmat = w.reshape(groups, f // groups, c_g * kh * kw)
-    out = np.einsum("gfk,ngko->ngfo", wmat, cols, optimize=True)
-    return out.reshape(n, f, oh, ow)
-
-
-def _conv_input_grad_raw(grad: np.ndarray, w: np.ndarray, x_shape, stride, padding,
-                         groups: int) -> np.ndarray:
-    n = grad.shape[0]
-    f, c_g, kh, kw = w.shape
-    oh, ow = grad.shape[2], grad.shape[3]
-    wmat = w.reshape(groups, f // groups, c_g * kh * kw)
-    grad_g = grad.reshape(n, groups, f // groups, oh * ow)
-    cols_grad = np.einsum("gfk,ngfo->ngko", wmat, grad_g, optimize=True)
-    cols_grad = cols_grad.reshape(n, x_shape[1], kh, kw, oh, ow)
-    return col2im(cols_grad, x_shape, kh, kw, stride, padding)
-
-
-def _conv_weight_grad_raw(x: np.ndarray, grad: np.ndarray, w_shape, stride, padding,
-                          groups: int) -> np.ndarray:
-    n = x.shape[0]
-    f, c_g, kh, kw = w_shape
-    oh, ow = grad.shape[2], grad.shape[3]
-    cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_g * kh * kw, oh * ow)
-    grad_g = grad.reshape(n, groups, f // groups, oh * ow)
-    gw = np.einsum("ngfo,ngko->gfk", grad_g, cols, optimize=True)
-    return gw.reshape(f, c_g, kh, kw)
-
-
-# --------------------------------------------------------------------------- #
-# Single-node quadratic convolution (symbolic backward)
-# --------------------------------------------------------------------------- #
-
-class HybridQuadraticConv2dFunction(Function):
-    """``out = conv(x, Wa) ∘ conv(x, Wb) + conv(x, Wc) + bias`` in one node.
-
-    Only ``x`` and the three weights are saved for backward; the first-order
-    responses are recomputed symbolically, mirroring Eq. 7 of the paper.
-    """
-
-    @staticmethod
-    def forward(ctx: Context, x: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                wc: np.ndarray, bias: Optional[np.ndarray] = None,
-                stride=(1, 1), padding=(0, 0), groups: int = 1) -> np.ndarray:
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        c = _conv_forward_raw(x, wc, stride, padding, groups)
-        out = a * b + c
-        if bias is not None:
-            out += bias.reshape(1, -1, 1, 1)
-        ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
-        ctx.has_bias = bias is not None
-        ctx.x_shape = x.shape
-        # Deliberately *not* saving a, b, c — that is the whole point.
-        ctx.save_for_backward(x, wa, wb, wc)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        x, wa, wb, wc = ctx.saved_tensors
-        stride, padding, groups = ctx.stride, ctx.padding, ctx.groups
-        grad = np.ascontiguousarray(grad)
-
-        # Recompute the first-order responses (symbolic differentiation step).
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        grad_a = grad * b
-        grad_b = grad * a
-        grad_c = grad
-
-        gx = gwa = gwb = gwc = gbias = None
-        if ctx.needs_input_grad[0]:
-            gx = (
-                _conv_input_grad_raw(grad_a, wa, ctx.x_shape, stride, padding, groups)
-                + _conv_input_grad_raw(grad_b, wb, ctx.x_shape, stride, padding, groups)
-                + _conv_input_grad_raw(grad_c, wc, ctx.x_shape, stride, padding, groups)
-            )
-        if ctx.needs_input_grad[1]:
-            gwa = _conv_weight_grad_raw(x, grad_a, wa.shape, stride, padding, groups)
-        if ctx.needs_input_grad[2]:
-            gwb = _conv_weight_grad_raw(x, grad_b, wb.shape, stride, padding, groups)
-        if ctx.needs_input_grad[3]:
-            gwc = _conv_weight_grad_raw(x, grad_c, wc.shape, stride, padding, groups)
-        if ctx.has_bias and len(ctx.needs_input_grad) > 4 and ctx.needs_input_grad[4]:
-            gbias = grad.sum(axis=(0, 2, 3))
-        return gx, gwa, gwb, gwc, gbias, None, None, None
-
-
-class HybridQuadraticConv2d(Module):
-    """Memory-efficient drop-in for ``QuadraticConv2d(neuron_type='OURS')``.
-
-    Identical parameterisation and forward semantics; the backward pass uses
-    the symbolic single-node function above so no Hadamard-product operands
-    are cached between forward and backward.
-    """
+    recompute = True
+    design = "OURS"
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: IntOrPair = 3,
                  stride: IntOrPair = 1, padding: IntOrPair = 0, groups: int = 1,
                  bias: bool = True) -> None:
-        super().__init__()
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        self.groups = int(groups)
-        self.neuron_type = "OURS"
-        kh, kw = self.kernel_size
-        wshape = (out_channels, in_channels // groups, kh, kw)
-        self.weight_a = Parameter(init.kaiming_normal(wshape))
-        self.weight_b = Parameter(init.kaiming_normal(wshape))
-        self.weight_c = Parameter(init.kaiming_normal(wshape, gain=1.0))
-        self.bias: Optional[Parameter] = Parameter(init.zeros((out_channels,))) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        args = [x, self.weight_a, self.weight_b, self.weight_c]
-        if self.bias is not None:
-            args.append(self.bias)
-        return HybridQuadraticConv2dFunction.apply(
-            *args, stride=self.stride, padding=self.padding, groups=self.groups
-        )
+        super().__init__(in_channels, out_channels, kernel_size=kernel_size, stride=stride,
+                         padding=padding, groups=groups, neuron_type=self.design, bias=bias)
 
     def extra_repr(self) -> str:
-        return (f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "
-                f"stride={self.stride}, padding={self.padding}, hybrid_bp=True")
+        return f"{super().extra_repr()}, hybrid_bp=True"
 
 
-# --------------------------------------------------------------------------- #
-# Symbolic-backward variants for the other published second-order designs
-# --------------------------------------------------------------------------- #
-
-class HybridQuadraticConv2dT4Function(Function):
-    """``out = conv(x, Wa) ∘ conv(x, Wb) + bias`` (Bu & Karpatne's T4) in one node."""
-
-    @staticmethod
-    def forward(ctx: Context, x: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                bias: Optional[np.ndarray] = None,
-                stride=(1, 1), padding=(0, 0), groups: int = 1) -> np.ndarray:
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        out = a * b
-        if bias is not None:
-            out += bias.reshape(1, -1, 1, 1)
-        ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
-        ctx.has_bias = bias is not None
-        ctx.x_shape = x.shape
-        ctx.save_for_backward(x, wa, wb)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        x, wa, wb = ctx.saved_tensors
-        stride, padding, groups = ctx.stride, ctx.padding, ctx.groups
-        grad = np.ascontiguousarray(grad)
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        grad_a = grad * b
-        grad_b = grad * a
-
-        gx = gwa = gwb = gbias = None
-        if ctx.needs_input_grad[0]:
-            gx = (_conv_input_grad_raw(grad_a, wa, ctx.x_shape, stride, padding, groups)
-                  + _conv_input_grad_raw(grad_b, wb, ctx.x_shape, stride, padding, groups))
-        if ctx.needs_input_grad[1]:
-            gwa = _conv_weight_grad_raw(x, grad_a, wa.shape, stride, padding, groups)
-        if ctx.needs_input_grad[2]:
-            gwb = _conv_weight_grad_raw(x, grad_b, wb.shape, stride, padding, groups)
-        if ctx.has_bias and len(ctx.needs_input_grad) > 3 and ctx.needs_input_grad[3]:
-            gbias = grad.sum(axis=(0, 2, 3))
-        return gx, gwa, gwb, gbias, None, None, None
+class HybridQuadraticConv2d(_HybridQuadraticConv2d):
+    """Memory-efficient drop-in for ``QuadraticConv2d(neuron_type='OURS')``."""
 
 
-class HybridQuadraticConv2dFanFunction(Function):
-    """``out = conv(x,Wa) ∘ conv(x,Wb) + conv(x², Wsq) + bias`` (Fan et al., T2&4).
-
-    The design of the paper's Fig. 5/Fig. 8 memory study; only ``x`` and the
-    weights are cached, both first-order responses and the squared input are
-    recomputed symbolically during backward.
-    """
-
-    @staticmethod
-    def forward(ctx: Context, x: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                wsq: np.ndarray, bias: Optional[np.ndarray] = None,
-                stride=(1, 1), padding=(0, 0), groups: int = 1) -> np.ndarray:
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        s = _conv_forward_raw(x * x, wsq, stride, padding, groups)
-        out = a * b + s
-        if bias is not None:
-            out += bias.reshape(1, -1, 1, 1)
-        ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
-        ctx.has_bias = bias is not None
-        ctx.x_shape = x.shape
-        ctx.save_for_backward(x, wa, wb, wsq)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        x, wa, wb, wsq = ctx.saved_tensors
-        stride, padding, groups = ctx.stride, ctx.padding, ctx.groups
-        grad = np.ascontiguousarray(grad)
-        a = _conv_forward_raw(x, wa, stride, padding, groups)
-        b = _conv_forward_raw(x, wb, stride, padding, groups)
-        grad_a = grad * b
-        grad_b = grad * a
-
-        gx = gwa = gwb = gwsq = gbias = None
-        if ctx.needs_input_grad[0]:
-            gx = (_conv_input_grad_raw(grad_a, wa, ctx.x_shape, stride, padding, groups)
-                  + _conv_input_grad_raw(grad_b, wb, ctx.x_shape, stride, padding, groups)
-                  # ∂(conv(x², Wsq))/∂x = 2x ∘ conv-input-grad — the chain rule of Eq. 7
-                  # applied to the squared-input path.
-                  + 2.0 * x * _conv_input_grad_raw(grad, wsq, ctx.x_shape, stride, padding,
-                                                   groups))
-        if ctx.needs_input_grad[1]:
-            gwa = _conv_weight_grad_raw(x, grad_a, wa.shape, stride, padding, groups)
-        if ctx.needs_input_grad[2]:
-            gwb = _conv_weight_grad_raw(x, grad_b, wb.shape, stride, padding, groups)
-        if ctx.needs_input_grad[3]:
-            gwsq = _conv_weight_grad_raw(x * x, grad, wsq.shape, stride, padding, groups)
-        if ctx.has_bias and len(ctx.needs_input_grad) > 4 and ctx.needs_input_grad[4]:
-            gbias = grad.sum(axis=(0, 2, 3))
-        return gx, gwa, gwb, gwsq, gbias, None, None, None
-
-
-class HybridQuadraticConv2dT4(Module):
+class HybridQuadraticConv2dT4(_HybridQuadraticConv2d):
     """Memory-efficient drop-in for ``QuadraticConv2d(neuron_type='T4')``."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: IntOrPair = 3,
-                 stride: IntOrPair = 1, padding: IntOrPair = 0, groups: int = 1,
-                 bias: bool = True) -> None:
-        super().__init__()
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        self.groups = int(groups)
-        self.neuron_type = "T4"
-        kh, kw = self.kernel_size
-        wshape = (out_channels, in_channels // groups, kh, kw)
-        self.weight_a = Parameter(init.kaiming_normal(wshape))
-        self.weight_b = Parameter(init.kaiming_normal(wshape))
-        self.bias: Optional[Parameter] = Parameter(init.zeros((out_channels,))) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        args = [x, self.weight_a, self.weight_b]
-        if self.bias is not None:
-            args.append(self.bias)
-        return HybridQuadraticConv2dT4Function.apply(
-            *args, stride=self.stride, padding=self.padding, groups=self.groups
-        )
-
-    def extra_repr(self) -> str:
-        return (f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "
-                f"type=T4, hybrid_bp=True")
+    design = "T4"
 
 
-class HybridQuadraticConv2dFan(Module):
-    """Memory-efficient drop-in for ``QuadraticConv2d(neuron_type='T2_4')`` (Fan et al.)."""
+class HybridQuadraticConv2dFan(_HybridQuadraticConv2d):
+    """Memory-efficient drop-in for ``QuadraticConv2d(neuron_type='T2_4')`` (Fan et al.).
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: IntOrPair = 3,
-                 stride: IntOrPair = 1, padding: IntOrPair = 0, groups: int = 1,
-                 bias: bool = True) -> None:
-        super().__init__()
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        self.groups = int(groups)
-        self.neuron_type = "T2_4"
-        kh, kw = self.kernel_size
-        wshape = (out_channels, in_channels // groups, kh, kw)
-        self.weight_a = Parameter(init.kaiming_normal(wshape))
-        self.weight_b = Parameter(init.kaiming_normal(wshape))
-        self.weight_sq = Parameter(init.kaiming_normal(wshape))
-        self.bias: Optional[Parameter] = Parameter(init.zeros((out_channels,))) if bias else None
+    The design of the paper's Fig. 5/Fig. 8 memory study; backward recomputes
+    both first-order responses from ``x``, and the squared-input projection's
+    gradients come from the same lowering, squared.
+    """
 
-    def forward(self, x: Tensor) -> Tensor:
-        args = [x, self.weight_a, self.weight_b, self.weight_sq]
-        if self.bias is not None:
-            args.append(self.bias)
-        return HybridQuadraticConv2dFanFunction.apply(
-            *args, stride=self.stride, padding=self.padding, groups=self.groups
-        )
-
-    def extra_repr(self) -> str:
-        return (f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "
-                f"type=T2_4, hybrid_bp=True")
+    design = "T2_4"
 
 
 # --------------------------------------------------------------------------- #

@@ -1,11 +1,17 @@
 """Quadratic convolution layers.
 
-``QuadraticConv2d`` supports every non-full-rank neuron type from Table 1 by
-composing standard grouped convolutions with Hadamard products — the paper's
-implementation-feasibility recipe (P4).  ``QuadraticConv2dT1`` implements the
-full-rank bilinear convolution (Cheung & Leung / Mantini & Shah style) whose
-parameter count grows with the *square* of the patch size; it exists so the
-memory-explosion numbers of P2 and Fig. 5 can be measured rather than assumed.
+``QuadraticConv2d`` supports every non-full-rank neuron type from Table 1:
+each first-order projection is an ordinary grouped convolution and the
+responses are combined by Hadamard products and sums — the paper's
+implementation-feasibility recipe (P4).  The whole layer trains as one
+autograd node, :class:`QuadraticConv2dFunction`, whose backward is derived by
+hand: one lowering of the input, stacked GEMMs for the weight and input
+gradients and a single scatter.  Hybrid back-propagation (paper Sec. 4.3,
+:mod:`repro.quadratic.layers.hybrid`) is the same node with a recompute
+policy.  ``QuadraticConv2dT1`` implements the full-rank bilinear convolution
+(Cheung & Leung / Mantini & Shah style) whose parameter count grows with the
+*square* of the patch size; it exists so the memory-explosion numbers of P2
+and Fig. 5 can be measured rather than assumed.
 """
 
 from __future__ import annotations
@@ -14,12 +20,14 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from ...autodiff.function import Context, Function
 from ...autodiff.tensor import cat as _cat, einsum as _einsum
-from ...autodiff.ops.conv import conv_output_size, im2col
+from ...autodiff.ops.conv import col2im, conv2d_raw, conv_output_size, im2col
 from ...autodiff.tensor import Tensor
 from ...nn import functional as F
 from ...nn import init
 from ...nn.parameter import Parameter
+from ..functional import COMBINE_BACKWARDS, COMBINE_READS, FUSED_COMBINERS, REQUIRED_RESPONSES
 from .base import QuadraticLayerBase
 
 IntOrPair = Union[int, Tuple[int, int]]
@@ -31,13 +39,126 @@ def _pair(value: IntOrPair) -> Tuple[int, int]:
     return int(value), int(value)
 
 
+def _gemm_rows(parts, groups: int) -> np.ndarray:
+    """Stack per-projection (N, F, OH, OW) arrays as (G, P·F/G, N·OH·OW) GEMM rows."""
+    n, f, oh, ow = parts[0].shape
+    fg = f // groups
+    rows = np.empty((groups, len(parts) * fg, n, oh * ow), dtype=parts[0].dtype)
+    for index, part in enumerate(parts):
+        rows[:, index * fg:(index + 1) * fg] = \
+            part.reshape(n, groups, fg, oh * ow).transpose(1, 2, 0, 3)
+    return rows.reshape(groups, len(parts) * fg, n * oh * ow)
+
+
+class QuadraticConv2dFunction(Function):
+    """A composable quadratic convolution as one autograd node.
+
+    ``apply(x, *weights, bias, neuron_type=, stride=, padding=, groups=,
+    recompute=)`` takes one weight per projection of the type's
+    ``REQUIRED_RESPONSES`` (the ``id`` path has none), in that order, then the
+    bias or ``None``.
+
+    Forward runs each projection through :func:`conv2d_raw` — the arithmetic
+    of ``Conv2d.forward`` — and combines the responses with
+    ``FUSED_COMBINERS``, so its output is bit-identical to the composed graph
+    and to the compiled plan.  It saves ``x``, the weights and the responses
+    the combination's backward reads (``COMBINE_READS``); with ``recompute``
+    (hybrid back-propagation) only ``x`` and the weights, and backward
+    recomputes those responses.
+
+    Backward lowers ``x`` once.  Every response gradient comes from
+    ``COMBINE_BACKWARDS``; the weight gradients of the projections that share
+    a lowering come from one GEMM over their stacked response gradients, and
+    their contribution to the input gradient from one GEMM over their stacked
+    weights.  The squared-input projection reads ``cols²`` (``im2col(x²) ==
+    im2col(x)²``) and its input-gradient block is multiplied by ``2·cols``;
+    one ``col2im`` scatters the sum back to image space.
+    """
+
+    @staticmethod
+    def forward(ctx: Context, x: np.ndarray, *params: np.ndarray, neuron_type: str,
+                stride: Tuple[int, int], padding: Tuple[int, int], groups: int,
+                recompute: bool) -> np.ndarray:
+        required = REQUIRED_RESPONSES[neuron_type]
+        kinds = tuple(kind for kind in required if kind != "id")
+        weights, bias = params[:-1], params[-1]
+        responses = {"id": x}
+        for kind, weight in zip(kinds, weights):
+            source = x * x if kind == "sq" else x
+            responses[kind] = conv2d_raw(source, weight, stride, padding, groups)
+        out = FUSED_COMBINERS[neuron_type](*(responses[kind] for kind in required))
+        if bias is not None:
+            out += bias.reshape(1, -1, 1, 1)
+        ctx.neuron_type, ctx.kinds, ctx.recompute = neuron_type, kinds, recompute
+        ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
+        reads = () if recompute else [responses[kind] for kind in COMBINE_READS[neuron_type]]
+        ctx.save_for_backward(x, *weights, *reads)
+        return out
+
+    @staticmethod
+    def backward(ctx: Context, grad: np.ndarray):
+        kinds, groups = ctx.kinds, ctx.groups
+        x, *saved = ctx.saved_tensors
+        weights, reads = saved[:len(kinds)], saved[len(kinds):]
+        n, c = x.shape[:2]
+        f, c_g, kh, kw = weights[0].shape
+        fg = f // groups
+        grad = np.ascontiguousarray(grad)
+        oh, ow = grad.shape[2], grad.shape[3]
+        # The one lowering, channel-major: (C, kh, kw, N, OH, OW) viewed as
+        # (G, K, N·OH·OW), so every GEMM below is one BLAS call per group.
+        cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+        im2col(x, kh, kw, ctx.stride, ctx.padding, out=cols.transpose(3, 0, 1, 2, 4, 5))
+        cols = cols.reshape(groups, c_g * kh * kw, n * oh * ow)
+        wmats = {kind: weight.reshape(groups, fg, c_g * kh * kw)
+                 for kind, weight in zip(kinds, weights)}
+        if ctx.recompute:
+            reads = [np.matmul(wmats[kind], cols).reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
+                     for kind in COMBINE_READS[ctx.neuron_type]]
+        required = REQUIRED_RESPONSES[ctx.neuron_type]
+        response_grads = dict(zip(required, COMBINE_BACKWARDS[ctx.neuron_type](grad, *reads)))
+
+        needs = ctx.needs_input_grad                  # (x, *weights, bias)
+        plain = tuple(kind for kind in kinds if kind != "sq")
+        blocks = [(plain, cols)] if plain else []
+        if "sq" in kinds:
+            blocks.append((("sq",), cols * cols))
+        weight_grads = {}
+        cols_grad = None
+        for block, source in blocks:
+            rows = _gemm_rows([response_grads[kind] for kind in block], groups)
+            if any(needs[1 + kinds.index(kind)] for kind in block):
+                gw = np.matmul(rows, source.transpose(0, 2, 1))
+                for index, kind in enumerate(block):
+                    weight_grads[kind] = gw[:, index * fg:(index + 1) * fg].reshape(f, c_g, kh, kw)
+            if needs[0]:
+                wstack = np.concatenate([wmats[kind] for kind in block], axis=1)
+                part = np.matmul(wstack.transpose(0, 2, 1), rows)
+                if block == ("sq",):
+                    part *= cols
+                    part *= 2.0
+                cols_grad = part if cols_grad is None else np.add(cols_grad, part, out=cols_grad)
+
+        gx = None
+        if needs[0]:
+            cols_grad = cols_grad.reshape(c, kh, kw, n, oh, ow).transpose(3, 0, 1, 2, 4, 5)
+            gx = col2im(cols_grad, x.shape, kh, kw, ctx.stride, ctx.padding)
+            if "id" in response_grads:
+                gx += response_grads["id"]
+        gbias = grad.sum(axis=(0, 2, 3)) if needs[-1] else None
+        return (gx, *(weight_grads.get(kind) for kind in kinds), gbias)
+
+
 class QuadraticConv2d(QuadraticLayerBase):
     """Quadratic convolution over NCHW tensors for composable neuron types.
 
     The supported types are T2, T3, T4, T4_ID, T2_4 (Fan et al.) and OURS —
     i.e. every design that decomposes into first-order convolutions plus
     element-wise operations.  Use :class:`QuadraticConv2dT1` for the
-    full-rank T1 family.
+    full-rank T1 family.  The layer trains as one
+    :class:`QuadraticConv2dFunction` node that keeps the responses its
+    combination's backward reads; the hybrid-BP subclasses set
+    :attr:`recompute` to keep only the input and the weights instead.
 
     Parameters
     ----------
@@ -48,6 +169,9 @@ class QuadraticConv2d(QuadraticLayerBase):
     bias : bool
         Learn an additive per-channel bias applied after combination.
     """
+
+    #: Recompute the responses in backward instead of keeping them (hybrid BP).
+    recompute = False
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: IntOrPair = 3,
                  stride: IntOrPair = 1, padding: IntOrPair = 0, groups: int = 1,
@@ -85,29 +209,21 @@ class QuadraticConv2d(QuadraticLayerBase):
                     "T4_ID requires matching channels and stride 1 so the raw input "
                     "can be added; use neuron_type='OURS' otherwise"
                 )
+            if any(2 * p != k - 1 for p, k in zip(self.padding, self.kernel_size)):
+                fix = (f"padding={tuple((k - 1) // 2 for k in self.kernel_size)}"
+                       if all(k % 2 for k in self.kernel_size) else "an odd kernel_size")
+                raise ValueError(
+                    f"T4_ID adds the raw input, so its convolution must keep H×W; "
+                    f"kernel_size={self.kernel_size} with padding={self.padding} does not: "
+                    f"use {fix}, or neuron_type='OURS'"
+                )
         self.bias: Optional[Parameter] = Parameter(init.zeros((out_channels,))) if bias else None
 
-    def _conv(self, x: Tensor, weight: Parameter) -> Tensor:
-        return F.conv2d(x, weight, None, stride=self.stride, padding=self.padding,
-                        groups=self.groups)
-
-    def project(self, x: Tensor, kind: str) -> Tensor:
-        if kind == "a":
-            return self._conv(x, self.weight_a)
-        if kind == "b":
-            return self._conv(x, self.weight_b)
-        if kind == "c":
-            return self._conv(x, self.weight_c)
-        if kind == "sq":
-            return self._conv(x * x, self.weight_sq)
-        if kind == "id":
-            return x
-        raise KeyError(f"unknown projection kind '{kind}'")
-
-    def post_combine(self, out: Tensor) -> Tensor:
-        if self.bias is not None:
-            out = out + self.bias.reshape((1, self.out_channels, 1, 1))
-        return out
+    def forward(self, x: Tensor) -> Tensor:
+        weights = [getattr(self, f"weight_{kind}") for kind in self.required if kind != "id"]
+        return QuadraticConv2dFunction.apply(
+            x, *weights, self.bias, neuron_type=self.neuron_type, stride=self.stride,
+            padding=self.padding, groups=self.groups, recompute=self.recompute)
 
     def output_shape(self, input_hw: Tuple[int, int]) -> Tuple[int, int]:
         """Spatial output size for a given input size (used by the profiler)."""

@@ -181,6 +181,26 @@ def test_bench_gate_runs_quick_benchmarks_and_uploads_results(workflow):
     assert upload["with"]["path"].startswith("benchmarks/results")
 
 
+def test_bench_gate_runs_the_fig8_hybrid_bp_memory_band(workflow):
+    """Hybrid BP is a recompute policy of the quadratic convolution node; the
+    Fig. 8 benchmark asserts its saving band and that cached bytes return to
+    0.  It is a pytest benchmark, so the step runs from ``benchmarks/`` (its
+    conftest makes ``common`` importable) with pytest-benchmark installed and
+    timing disabled."""
+    steps = workflow["jobs"]["bench-gate"]["steps"]
+    runs = [step.get("run", "") for step in steps]
+    fig8_idx = next((i for i, run in enumerate(runs) if "bench_fig8_hybrid_bp.py" in run), None)
+    assert fig8_idx is not None, "bench-gate never runs the Fig. 8 hybrid-BP benchmark"
+    fig8 = steps[fig8_idx]
+    assert fig8.get("working-directory") == "benchmarks"
+    assert "python -m pytest" in fig8["run"] and "--benchmark-disable" in fig8["run"]
+    assert "PYTHONPATH=../src" in fig8["run"]
+    install_idx = next((i for i, run in enumerate(runs)
+                        if "pip install" in run and "pytest-benchmark" in run), None)
+    assert install_idx is not None and install_idx < fig8_idx
+    assert "pytest" in runs[install_idx].split("pip install", 1)[1].split()
+
+
 def test_bench_gate_runs_the_trajectory_check_after_the_benches(workflow):
     """The trajectory-relative regression gate runs once, after every bench
     that appends to ``results/trajectory.jsonl`` — so its verdict covers all

@@ -154,6 +154,15 @@ class TestQuadraticConv:
         with pytest.raises(ValueError):
             QuadraticConv2d(3, 8, neuron_type="T4_ID")
 
+    @pytest.mark.parametrize("kernel_size,padding", [(3, 0), ((3, 3), (1, 0)), (2, 0), (5, 1)])
+    def test_t4_id_requires_a_size_preserving_convolution(self, kernel_size, padding):
+        # The raw input is added to the conv output, so stride 1 alone is not
+        # enough: only 2·padding == kernel − 1 keeps H×W on both axes.
+        with pytest.raises(ValueError, match="T4_ID.*padding"):
+            QuadraticConv2d(4, 4, kernel_size, padding=padding, neuron_type="T4_ID")
+        layer = QuadraticConv2d(4, 4, 3, padding=1, neuron_type="T4_ID")
+        assert layer(randn(1, 4, 6, 6)).shape == (1, 4, 6, 6)
+
     def test_invalid_groups(self):
         with pytest.raises(ValueError):
             QuadraticConv2d(3, 4, groups=2, neuron_type="OURS")
