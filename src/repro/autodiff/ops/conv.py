@@ -87,7 +87,9 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: Tuple[int, int],
     """Grouped 2-D convolution of raw arrays, without bias.
 
     The arithmetic every eager convolution runs — :class:`Conv2d` and each
-    projection of a quadratic convolution — so their outputs share bits.
+    projection of a quadratic convolution — and the one
+    ``Backend.conv_project`` runs on the compiled path, so their outputs
+    share bits.
     """
     n, c, h, wd = x.shape
     f, c_g, kh, kw = w.shape
@@ -102,8 +104,44 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: Tuple[int, int],
     cols = cols.reshape(n, groups, c_g * kh * kw, oh * ow)
     wmat = w.reshape(groups, f // groups, c_g * kh * kw)
     # (N, G, Fg, OH*OW) = (G, Fg, K) @ (N, G, K, OH*OW)
-    out = np.einsum("gfk,ngko->ngfo", wmat, cols, optimize=True)
-    return out.reshape(n, f, oh, ow)
+    return np.matmul(wmat, cols).reshape(n, f, oh, ow)
+
+
+# Backward lowering, shared by :class:`Conv2d` and the quadratic convolution
+# node: channel-major columns (C, kh, kw, N, OH, OW) viewed as
+# (G, K, N·OH·OW), so each gradient GEMM is one BLAS call per group.
+
+def im2col_channel_major(x: np.ndarray, kh: int, kw: int, stride: Tuple[int, int],
+                         padding: Tuple[int, int], groups: int) -> np.ndarray:
+    """Lower ``x`` (N, C, H, W) once into (G, C/G·kh·kw, N·OH·OW) columns."""
+    n, c, h, w = x.shape
+    oh = conv_output_size(h, kh, stride[0], padding[0])
+    ow = conv_output_size(w, kw, stride[1], padding[1])
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+    im2col(x, kh, kw, stride, padding, out=cols.transpose(3, 0, 1, 2, 4, 5))
+    return cols.reshape(groups, (c // groups) * kh * kw, n * oh * ow)
+
+
+def col2im_channel_major(cols_grad: np.ndarray, x_shape: Tuple[int, int, int, int],
+                         kh: int, kw: int, stride: Tuple[int, int],
+                         padding: Tuple[int, int]) -> np.ndarray:
+    """Scatter (G, K, N·OH·OW) column gradients back to an (N, C, H, W) image."""
+    n, c, h, w = x_shape
+    oh = conv_output_size(h, kh, stride[0], padding[0])
+    ow = conv_output_size(w, kw, stride[1], padding[1])
+    cols_grad = cols_grad.reshape(c, kh, kw, n, oh, ow).transpose(3, 0, 1, 2, 4, 5)
+    return col2im(cols_grad, x_shape, kh, kw, stride, padding)
+
+
+def gemm_rows(parts, groups: int) -> np.ndarray:
+    """Stack per-projection (N, F, OH, OW) arrays as (G, P·F/G, N·OH·OW) GEMM rows."""
+    n, f, oh, ow = parts[0].shape
+    fg = f // groups
+    rows = np.empty((groups, len(parts) * fg, n, oh * ow), dtype=parts[0].dtype)
+    for index, part in enumerate(parts):
+        rows[:, index * fg:(index + 1) * fg] = \
+            part.reshape(n, groups, fg, oh * ow).transpose(1, 2, 0, 3)
+    return rows.reshape(groups, len(parts) * fg, n * oh * ow)
 
 
 class Conv2d(Function):
@@ -124,7 +162,6 @@ class Conv2d(Function):
             out += b.reshape(1, w.shape[0], 1, 1)
 
         ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
-        ctx.x_shape, ctx.w_shape = x.shape, w.shape
         ctx.has_bias = b is not None
         ctx.save_for_backward(x, w)
         return out
@@ -133,30 +170,19 @@ class Conv2d(Function):
     def backward(ctx: Context, grad: np.ndarray):
         x, w = ctx.saved_tensors
         stride, padding, groups = ctx.stride, ctx.padding, ctx.groups
-        n, c, h, wd = ctx.x_shape
-        f, c_g, kh, kw = ctx.w_shape
-        grad = np.ascontiguousarray(grad)
-        oh, ow = grad.shape[2], grad.shape[3]
-        grad_g = grad.reshape(n, groups, f // groups, oh * ow)
-
+        f, c_g, kh, kw = w.shape
+        rows = gemm_rows([grad], groups)                # (G, Fg, N·OH·OW)
+        needs = ctx.needs_input_grad
         gx = gw = gb = None
-        wmat = w.reshape(groups, f // groups, c_g * kh * kw)
-
-        if ctx.needs_input_grad[0]:
-            # dX = W^T @ dOut, scattered back to image space.
-            cols_grad = np.einsum("gfk,ngfo->ngko", wmat, grad_g, optimize=True)
-            cols_grad = cols_grad.reshape(n, c, kh, kw, oh, ow)
-            gx = col2im(cols_grad, ctx.x_shape, kh, kw, stride, padding)
-
-        if ctx.needs_input_grad[1]:
-            cols = im2col(x, kh, kw, stride, padding)
-            cols = cols.reshape(n, groups, c_g * kh * kw, oh * ow)
-            gw = np.einsum("ngfo,ngko->gfk", grad_g, cols, optimize=True)
-            gw = gw.reshape(f, c_g, kh, kw)
-
-        if ctx.has_bias and len(ctx.needs_input_grad) > 2 and ctx.needs_input_grad[2]:
+        if needs[0]:
+            wmat = w.reshape(groups, f // groups, c_g * kh * kw)
+            gx = col2im_channel_major(np.matmul(wmat.transpose(0, 2, 1), rows),
+                                      x.shape, kh, kw, stride, padding)
+        if needs[1]:
+            cols = im2col_channel_major(x, kh, kw, stride, padding, groups)
+            gw = np.matmul(rows, cols.transpose(0, 2, 1)).reshape(f, c_g, kh, kw)
+        if ctx.has_bias and len(needs) > 2 and needs[2]:
             gb = grad.sum(axis=(0, 2, 3))
-
         return gx, gw, gb, None, None, None
 
 

@@ -92,36 +92,15 @@ class Backend:
         """Lower input patches to columns (strided copies, no arithmetic)."""
         return _im2col(x, kh, kw, stride, padding, out=out)
 
-    def conv_project(self, cols: np.ndarray, wmat: np.ndarray, out: np.ndarray,
-                     cache: dict) -> np.ndarray:
+    def conv_project(self, cols: np.ndarray, wmat: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
         """One grouped-conv projection on pre-lowered columns.
 
-        The eager convolution computes ``einsum("gfk,ngko->ngfo")`` with
-        ``optimize=True``; for most shapes NumPy resolves that to exactly one
-        batched ``matmul``, which is ~6× cheaper to dispatch.  Whether the
-        two routes are bit-identical depends only on the operand shapes (BLAS
-        picks its reduction order from shapes and strides, never from
-        values), so the first call per shape compares both routes on *dense
-        random probes* of the same shapes and caches the verdict in
-        ``cache`` — matmul where it provably matches the training-path
-        numerics, eager einsum everywhere else.  Probes (rather than the live
-        operands) keep a degenerate first input — an all-zero image,
-        untrained zero weights — from locking in a trivially-equal
-        comparison.
+        ``(G, Fg, K) @ (N, G, K, OH·OW) -> (N, G, Fg, OH·OW)``: the one
+        ``np.matmul`` the eager convolution (``conv2d_raw``) runs, so the
+        compiled projection shares its bits.
         """
-        shape_key = (wmat.shape, cols.shape)
-        use_matmul = cache.get(shape_key)
-        if use_matmul is None:
-            probe_rng = np.random.default_rng(0)
-            probe_w = probe_rng.standard_normal(wmat.shape).astype(wmat.dtype)
-            probe_c = probe_rng.standard_normal(cols.shape).astype(cols.dtype)
-            reference = np.einsum("gfk,ngko->ngfo", probe_w, probe_c, optimize=True)
-            fast = np.matmul(probe_w, probe_c)
-            use_matmul = bool(np.array_equal(reference, fast))
-            cache[shape_key] = use_matmul
-        if use_matmul:
-            return np.matmul(wmat, cols, out=out)
-        return np.einsum("gfk,ngko->ngfo", wmat, cols, optimize=True, out=out)
+        return np.matmul(wmat, cols, out=out)
 
     # ------------------------------------------------------ quadratic combine
     def combine(self, neuron_type: str, responses: Sequence[np.ndarray],

@@ -98,11 +98,9 @@ class Int8Backend(Backend):
         return np.multiply(out, np.float32(2.0 ** -(x_bits + w_bits)), out=out)
 
     # ----------------------------------------------------------- convolution
-    def conv_project(self, cols: np.ndarray, wmat: np.ndarray, out: np.ndarray,
-                     cache: dict) -> np.ndarray:
+    def conv_project(self, cols: np.ndarray, wmat: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
         qw, w_bits = self._weight(wmat)
         qc, c_bits = self.quantize(cols)
-        # Grouped projection on the int8 lattice; matmul broadcasting over
-        # (groups,) is the fast route and int8 needs no einsum bit-matching.
         np.matmul(qw, qc, out=out)
         return np.multiply(out, np.float32(2.0 ** -(c_bits + w_bits)), out=out)

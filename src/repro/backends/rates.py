@@ -13,7 +13,8 @@ compiled model is built from, plus two serving-overhead probes:
 ``conv_macs_per_s``
     convolutions: a three-stage *pyramid* of quadratic conv steps (shared
     ``Backend.im2col`` lowering, three ``Backend.conv_project`` weight
-    sets, fused combine) whose spatial extent shrinks stage by stage the
+    sets — one ``np.matmul`` each, the eager arithmetic — and a fused
+    combine) whose spatial extent shrinks stage by stage the
     way the backbones' does.  Pricing the pyramid instead of one wide
     tile matters: most of a backbone's MACs live in late layers whose
     tiny matrices run far below peak BLAS efficiency, so a single
@@ -64,8 +65,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-#: schema version of the on-disk cache; bump when probe definitions change.
-CACHE_VERSION = 2
+#: schema version of the on-disk cache; bump when probe definitions change
+#: (3: ``conv_project`` became one ``np.matmul``, so older conv rates are stale).
+CACHE_VERSION = 3
 
 #: in-process cache: (backend name, host key) -> KernelRates.
 _MEMORY_CACHE: Dict[Tuple[str, str], "KernelRates"] = {}
@@ -180,18 +182,16 @@ def _probe_conv(backend, budget_s: float) -> float:
         combined = np.empty((n, 1, f, h * h), dtype=np.float32)
         stages.append((x, patch, h, wmats, outs, combined))
         macs += n * (n_sets * f * patch + 2 * f) * h * h
-    cache: dict = {}
 
     def step() -> None:
         for x, patch, h, wmats, outs, combined in stages:
             cols = backend.im2col(x, kh, kw, (1, 1), (1, 1))
             cols = cols.reshape(n, 1, patch, h * h)
             for wmat, out in zip(wmats, outs):
-                backend.conv_project(cols, wmat, out, cache)
+                backend.conv_project(cols, wmat, out)
             backend.multiply(outs[0], outs[1], out=combined)
             backend.add(combined, outs[2], out=combined)
 
-    step()                              # resolve the dispatch probe up front
     seconds = _median_seconds(step, budget_s)
     return macs / seconds
 

@@ -10,8 +10,8 @@ the panels on a shared :class:`~concurrent.futures.ThreadPoolExecutor`:
   disjoint slice of the column buffer, a pure copy, so the result is
   trivially bit-identical at any thread count.
 * ``conv_project`` / ``gemm`` split the batch (or the output) axis into
-  blocks.  Each block runs the *reference* projection on its slice, so the
-  per-element reduction order can only change if BLAS picks a different
+  blocks.  Each block runs the *reference* ``np.matmul`` on its slice, so
+  the per-element reduction order can only change if BLAS picks a different
   kernel for the smaller operand — which depends on shapes alone, never on
   values.  The first call per shape therefore compares the blocked route
   against the reference route on dense random probes and caches the verdict:
@@ -138,11 +138,11 @@ class ThreadedBackend(Backend):
                    for a, b in spans])
         return out
 
-    def conv_project(self, cols: np.ndarray, wmat: np.ndarray, out: np.ndarray,
-                     cache: dict) -> np.ndarray:
+    def conv_project(self, cols: np.ndarray, wmat: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
         n = cols.shape[0]
         if out.size * wmat.shape[-1] < MIN_PARALLEL_ELEMS:
-            return super().conv_project(cols, wmat, out, cache)
+            return super().conv_project(cols, wmat, out)
         # Prefer batch blocking (NumPy's batched matmul runs one BLAS call
         # per sample anyway, so per-sample slices reuse identical kernels);
         # fall back to blocking the output-pixel axis for single samples.
@@ -150,28 +150,26 @@ class ThreadedBackend(Backend):
         axis_size = cols.shape[axis]
         chunks = self._chunks(axis_size, cols.size + out.size)
         if chunks <= 1:
-            return super().conv_project(cols, wmat, out, cache)
+            return super().conv_project(cols, wmat, out)
         key = ("conv", wmat.shape, cols.shape, axis, chunks)
         blocked = self._routes.get(key)
         if blocked is None:
-            blocked = self._probe_conv(cols.shape, wmat.shape, axis, chunks, cache)
+            blocked = self._probe_conv(cols.shape, wmat.shape, axis, chunks)
             self._routes[key] = blocked
         if not blocked:
-            return super().conv_project(cols, wmat, out, cache)
+            return super().conv_project(cols, wmat, out)
         parent = super().conv_project
         spans = _spans(axis_size, chunks)
         if axis == 0:
-            tasks = [lambda a=a, b=b: parent(cols[a:b], wmat, out[a:b], cache)
+            tasks = [lambda a=a, b=b: parent(cols[a:b], wmat, out[a:b])
                      for a, b in spans]
         else:
-            tasks = [lambda a=a, b=b: parent(cols[..., a:b], wmat,
-                                             out[..., a:b], cache)
+            tasks = [lambda a=a, b=b: parent(cols[..., a:b], wmat, out[..., a:b])
                      for a, b in spans]
         self._run(tasks)
         return out
 
-    def _probe_conv(self, cols_shape, wmat_shape, axis: int, chunks: int,
-                    cache: dict) -> bool:
+    def _probe_conv(self, cols_shape, wmat_shape, axis: int, chunks: int) -> bool:
         """Blocked-vs-reference comparison on dense random probes.
 
         Runs the blocks *serially* — the verdict is about BLAS kernel choice
@@ -182,12 +180,11 @@ class ThreadedBackend(Backend):
         pw = rng.standard_normal(wmat_shape).astype(np.float32)
         n, g = cols_shape[0], cols_shape[1]
         out_shape = (n, g, wmat_shape[1], cols_shape[3])
-        reference = super().conv_project(pc, pw, np.empty(out_shape, np.float32),
-                                         cache)
+        reference = super().conv_project(pc, pw, np.empty(out_shape, np.float32))
         blocked = np.empty(out_shape, np.float32)
         for a, b in _spans(cols_shape[axis], chunks):
             if axis == 0:
-                super().conv_project(pc[a:b], pw, blocked[a:b], cache)
+                super().conv_project(pc[a:b], pw, blocked[a:b])
             else:
-                super().conv_project(pc[..., a:b], pw, blocked[..., a:b], cache)
+                super().conv_project(pc[..., a:b], pw, blocked[..., a:b])
         return bool(np.array_equal(reference, blocked))

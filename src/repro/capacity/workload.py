@@ -8,10 +8,10 @@ layer kind, because a GEMM MAC and an im2col-conv MAC sustain very different
 rates on the same host:
 
 ``conv_macs``
-    layers lowered through ``Backend.im2col`` + ``Backend.conv_project``
-    (``Conv2d`` and every quadratic conv variant — their extra first-order
-    responses and element-wise combines are already folded into the
-    profiler's MAC counts).
+    layers lowered through ``Backend.im2col`` + ``Backend.conv_project``,
+    one ``np.matmul`` per projection (``Conv2d`` and every quadratic conv
+    variant — their extra first-order responses and element-wise combines
+    are already folded into the profiler's MAC counts).
 ``gemm_macs``
     layers lowered to ``Backend.gemm`` (``Linear`` and the quadratic linear
     variants).

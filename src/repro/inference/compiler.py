@@ -136,9 +136,9 @@ class CompiledModel:
         """Pre-run zero batches so no live request pays first-call costs.
 
         The first forward at a new batch size allocates the pooled buffers
-        and resolves the per-shape einsum-vs-matmul dispatch probes; a
-        serving deployment can pay that up front for every micro-batch size
-        it expects (``range(1, max_batch_size + 1)`` for a
+        (and, on the ``threaded`` backend, settles its per-shape blocking
+        probes); a serving deployment can pay that up front for every
+        micro-batch size it expects (``range(1, max_batch_size + 1)`` for a
         :class:`~repro.inference.BatchedPredictor`).
         """
         for batch_size in batch_sizes:
@@ -292,7 +292,6 @@ def _compile_conv2d(op: Op, build: _FloatBuild) -> Step:
     key = build.next_key()
     cols_key = build.planner.scratch(key, "cols")
     out_key = build.planner.activation(key)
-    dispatch_cache: dict = {}
 
     def conv_step(x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -302,8 +301,7 @@ def _compile_conv2d(op: Op, build: _FloatBuild) -> Step:
         cols = be.im2col(x, kh, kw, stride, padding, out=cols_buf)
         cols = cols.reshape(n, groups, c_g * kh * kw, oh * ow)
         out = be.conv_project(cols, wmat,
-                              pool.get(out_key, (n, groups, f // groups, oh * ow)),
-                              dispatch_cache)
+                              pool.get(out_key, (n, groups, f // groups, oh * ow)))
         out = out.reshape(n, f, oh, ow)
         if bias is not None:
             be.add(out, bias, out=out)
@@ -582,7 +580,6 @@ def _compile_quadratic_conv(op: Op, build: _FloatBuild) -> Step:
                  for kind in wmats}
     out_key = build.planner.activation(key)
     neuron_type = module.neuron_type
-    dispatch_cache: dict = {}
 
     def quadratic_conv_step(x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -604,8 +601,7 @@ def _compile_quadratic_conv(op: Op, build: _FloatBuild) -> Step:
             else:
                 source = cols
             projected = be.conv_project(source, wmats[kind],
-                                        pool.get(proj_keys[kind], out_shape),
-                                        dispatch_cache)
+                                        pool.get(proj_keys[kind], out_shape))
             responses.append(projected.reshape(n, f, oh, ow))
         out = be.combine(neuron_type, responses,
                          out=pool.get(out_key, (n, f, oh, ow)))
@@ -621,7 +617,7 @@ def _compile_quadratic_linear(op: Op, build: _FloatBuild) -> Step:
     module = op.module
     required = REQUIRED_RESPONSES[module.neuron_type]
     if "bilinear" in required:
-        # The full-rank T1 family keeps its eager einsum path.
+        # The full-rank T1 family keeps its eager forward.
         return build.fallback(module)
     be = build.backend
     pool = build.pool

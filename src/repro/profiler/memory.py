@@ -20,9 +20,10 @@ Two front-ends are provided:
 
 ``estimate_training_memory``
     one-shot estimate of a model's total training footprint (parameters +
-    gradients + optimizer state + cached activations), with the activation
-    part measured at a probe batch size and scaled linearly to the requested
-    batch size — this regenerates Fig. 5 without a GPU.
+    gradients + optimizer state + cached activations), with the per-sample
+    activation cost measured as the slope between two probe batch sizes and
+    scaled linearly to the requested batch size — this regenerates Fig. 5
+    without a GPU.
 """
 
 from __future__ import annotations
@@ -198,8 +199,11 @@ def estimate_training_memory(model: Module, input_shape: Tuple[int, int, int],
         Classification-style model mapping (N, C, H, W) to (N, num_classes).
     input_shape : (C, H, W)
     probe_batch_size : int
-        Batch size of the probe forward/backward; cached-activation bytes are
-        divided by this to obtain a per-sample figure.
+        One probe forward/backward runs at this batch size and one at twice
+        it.  Cached bytes grow linearly with the batch; the slope is the
+        per-sample activation cost.  The intercept — the weights each conv
+        and linear node saves, which ``parameter_bytes`` already counts, and
+        a few small arrays — is not scaled with the batch.
     num_classes : int, optional
         If given, a cross-entropy loss on random labels is used so that the
         probe exercises the same graph as real training.
@@ -210,17 +214,19 @@ def estimate_training_memory(model: Module, input_shape: Tuple[int, int, int],
     model.train(True)
     c, h, w = input_shape
     rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((probe_batch_size, c, h, w)).astype(np.float32))
-
-    with MemoryTracker() as tracker:
-        out = model(x)
-        if num_classes is not None and out.ndim == 2:
-            labels = rng.integers(0, num_classes, size=probe_batch_size)
-            loss = CrossEntropyLoss()(out, labels)
-        else:
-            loss = out.sum()
-        loss.backward()
-    model.zero_grad()
+    peaks = []
+    for batch_size in (probe_batch_size, 2 * probe_batch_size):
+        x = Tensor(rng.standard_normal((batch_size, c, h, w)).astype(np.float32))
+        with MemoryTracker() as tracker:
+            out = model(x)
+            if num_classes is not None and out.ndim == 2:
+                labels = rng.integers(0, num_classes, size=batch_size)
+                loss = CrossEntropyLoss()(out, labels)
+            else:
+                loss = out.sum()
+            loss.backward()
+        model.zero_grad()
+        peaks.append(tracker.peak_bytes)
     model.train(was_training)
 
     param_bytes = sum(p.nbytes for p in model.parameters())
@@ -228,6 +234,6 @@ def estimate_training_memory(model: Module, input_shape: Tuple[int, int, int],
         parameter_bytes=param_bytes,
         gradient_bytes=param_bytes,
         optimizer_state_bytes=optimizer_states_per_param * param_bytes,
-        activation_bytes_per_sample=tracker.peak_bytes / probe_batch_size,
+        activation_bytes_per_sample=(peaks[1] - peaks[0]) / probe_batch_size,
         probe_batch_size=probe_batch_size,
     )

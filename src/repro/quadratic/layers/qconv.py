@@ -22,7 +22,8 @@ import numpy as np
 
 from ...autodiff.function import Context, Function
 from ...autodiff.tensor import cat as _cat, einsum as _einsum
-from ...autodiff.ops.conv import col2im, conv2d_raw, conv_output_size, im2col
+from ...autodiff.ops.conv import (col2im_channel_major, conv2d_raw, conv_output_size,
+                                  gemm_rows, im2col_channel_major)
 from ...autodiff.tensor import Tensor
 from ...nn import functional as F
 from ...nn import init
@@ -37,17 +38,6 @@ def _pair(value: IntOrPair) -> Tuple[int, int]:
     if isinstance(value, (tuple, list)):
         return int(value[0]), int(value[1])
     return int(value), int(value)
-
-
-def _gemm_rows(parts, groups: int) -> np.ndarray:
-    """Stack per-projection (N, F, OH, OW) arrays as (G, P·F/G, N·OH·OW) GEMM rows."""
-    n, f, oh, ow = parts[0].shape
-    fg = f // groups
-    rows = np.empty((groups, len(parts) * fg, n, oh * ow), dtype=parts[0].dtype)
-    for index, part in enumerate(parts):
-        rows[:, index * fg:(index + 1) * fg] = \
-            part.reshape(n, groups, fg, oh * ow).transpose(1, 2, 0, 3)
-    return rows.reshape(groups, len(parts) * fg, n * oh * ow)
 
 
 class QuadraticConv2dFunction(Function):
@@ -66,7 +56,8 @@ class QuadraticConv2dFunction(Function):
     (hybrid back-propagation) only ``x`` and the weights, and backward
     recomputes those responses.
 
-    Backward lowers ``x`` once.  Every response gradient comes from
+    Backward lowers ``x`` once, channel-major, through the helpers
+    ``Conv2d.backward`` also calls.  Every response gradient comes from
     ``COMBINE_BACKWARDS``; the weight gradients of the projections that share
     a lowering come from one GEMM over their stacked response gradients, and
     their contribution to the input gradient from one GEMM over their stacked
@@ -100,16 +91,12 @@ class QuadraticConv2dFunction(Function):
         kinds, groups = ctx.kinds, ctx.groups
         x, *saved = ctx.saved_tensors
         weights, reads = saved[:len(kinds)], saved[len(kinds):]
-        n, c = x.shape[:2]
+        n = x.shape[0]
         f, c_g, kh, kw = weights[0].shape
         fg = f // groups
         grad = np.ascontiguousarray(grad)
         oh, ow = grad.shape[2], grad.shape[3]
-        # The one lowering, channel-major: (C, kh, kw, N, OH, OW) viewed as
-        # (G, K, N·OH·OW), so every GEMM below is one BLAS call per group.
-        cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
-        im2col(x, kh, kw, ctx.stride, ctx.padding, out=cols.transpose(3, 0, 1, 2, 4, 5))
-        cols = cols.reshape(groups, c_g * kh * kw, n * oh * ow)
+        cols = im2col_channel_major(x, kh, kw, ctx.stride, ctx.padding, groups)
         wmats = {kind: weight.reshape(groups, fg, c_g * kh * kw)
                  for kind, weight in zip(kinds, weights)}
         if ctx.recompute:
@@ -126,7 +113,7 @@ class QuadraticConv2dFunction(Function):
         weight_grads = {}
         cols_grad = None
         for block, source in blocks:
-            rows = _gemm_rows([response_grads[kind] for kind in block], groups)
+            rows = gemm_rows([response_grads[kind] for kind in block], groups)
             if any(needs[1 + kinds.index(kind)] for kind in block):
                 gw = np.matmul(rows, source.transpose(0, 2, 1))
                 for index, kind in enumerate(block):
@@ -141,8 +128,7 @@ class QuadraticConv2dFunction(Function):
 
         gx = None
         if needs[0]:
-            cols_grad = cols_grad.reshape(c, kh, kw, n, oh, ow).transpose(3, 0, 1, 2, 4, 5)
-            gx = col2im(cols_grad, x.shape, kh, kw, ctx.stride, ctx.padding)
+            gx = col2im_channel_major(cols_grad, x.shape, kh, kw, ctx.stride, ctx.padding)
             if "id" in response_grads:
                 gx += response_grads["id"]
         gbias = grad.sum(axis=(0, 2, 3)) if needs[-1] else None

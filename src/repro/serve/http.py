@@ -5,7 +5,11 @@ Three endpoints, all JSON:
 * ``POST /predict`` — body ``{"input": <nested list>}`` shaped like the
   spec's ``data.input_shape``.  Answers ``{"output": [...], "cached": bool}``.
   Malformed JSON, a wrong shape or a malformed ``Content-Length`` (any
-  endpoint; the connection then closes) is ``400``; over the latency budget is
+  endpoint; the connection then closes) is ``400``.  A ``Content-Length``
+  over the body cap the app derives from its input shape is ``413``; more
+  than ``MAX_HEADER_LINES`` header lines, or a request or header line over
+  ``MAX_LINE_BYTES``, is ``431``.  Both close the connection unread, and are
+  counted under the ``other`` endpoint like the ``400``.  Over the latency budget is
   ``429`` with a ``Retry-After`` header (admission control — the client's
   load, not our failure); a saturated pool or a draining server is ``503``
   (load shedding); a worker failure that exhausted its retries is ``500``.
@@ -46,10 +50,19 @@ from .metrics import ServingMetrics
 from .pool import PoolClosed, PoolFuture, PoolSaturated, WorkerCrashed, WorkerPool
 
 _REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Content Too Large",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 503: "Service Unavailable",
 }
+
+#: Header lines one request may carry (``http.client`` accepts as many).
+MAX_HEADER_LINES = 100
+#: Longest request or header line, in bytes: the stream reader's limit.
+MAX_LINE_BYTES = 1 << 16
+#: A ``POST /predict`` body may spend this many bytes per input element, plus
+#: one line-length of envelope: room for any float32 pretty-printed by
+#: ``json.dumps(..., indent=4)``.
+BODY_BYTES_PER_ELEMENT = 64
 
 
 class ServingApp:
@@ -66,6 +79,9 @@ class ServingApp:
                  config: Optional[ServeConfig] = None) -> None:
         self.pool = pool
         self.input_shape = tuple(input_shape)
+        #: The largest request body the front door reads (``413`` above it).
+        self.max_body_bytes = (MAX_LINE_BYTES + BODY_BYTES_PER_ELEMENT
+                               * int(np.prod(self.input_shape)))
         self.config = config or getattr(pool, "config", ServeConfig())
         self.cache = LRUCache(self.config.cache_size)
         self.metrics = ServingMetrics()
@@ -198,6 +214,22 @@ def _awaitable(future: PoolFuture) -> "asyncio.Future":
     return aio_future
 
 
+class _Refused(Exception):
+    """A request the front door answers without reading, then hangs up on."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:          # the reader's limit: MAX_LINE_BYTES
+        raise _Refused(431, f"request or header line longer than "
+                            f"{MAX_LINE_BYTES} bytes") from None
+
+
 class AsyncFrontDoor:
     """One listening socket, one event loop, one background thread.
 
@@ -244,7 +276,8 @@ class AsyncFrontDoor:
         self._stop = asyncio.Event()
         try:
             server = await asyncio.start_server(self._serve_connection,
-                                                sock=self._sock)
+                                                sock=self._sock,
+                                                limit=MAX_LINE_BYTES)
         except BaseException as error:  # surface in start(), not a dead thread
             self._startup_error = error
             self._started.set()
@@ -277,26 +310,27 @@ class AsyncFrontDoor:
                                 writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line in (b"\r\n", b"\n"):
-                    break
-                started = time.perf_counter()
                 try:
-                    method, path, version = request_line.decode("latin-1").split()
-                except ValueError:
-                    break                      # not HTTP; hang up
-                headers = await self._read_headers(reader)
-                length = headers.get("content-length") or "0"
-                if length.isascii() and length.isdigit():
-                    body = await reader.readexactly(int(length))
+                    request_line = await _read_line(reader)
+                    if not request_line or request_line in (b"\r\n", b"\n"):
+                        break
+                    started = time.perf_counter()
+                    try:
+                        method, path, version = request_line.decode("latin-1").split()
+                    except ValueError:
+                        break                  # not HTTP; hang up
+                    headers = await self._read_headers(reader)
+                    body = await reader.readexactly(self._body_length(headers))
+                except _Refused as refused:
+                    # No later byte on this connection can be framed as a
+                    # request: answer and hang up.  Only the answer is timed.
+                    started = time.perf_counter()
+                    endpoint, status, extra, close = "other", refused.status, [], True
+                    payload = {"error": str(refused)}
+                else:
                     endpoint, status, payload, extra = await self._route(method, path, body)
                     close = (headers.get("connection", "").lower() == "close"
                              or version == "HTTP/1.0")
-                else:
-                    # The body's extent is unknown, so no later byte on this
-                    # connection can be framed as a request: answer and hang up.
-                    endpoint, status, extra, close = "other", 400, [], True
-                    payload = {"error": f"malformed Content-Length: {length!r}"}
                 await self._respond(writer, status, payload, extra, close)
                 latency_ms = (time.perf_counter() - started) * 1000.0
                 self.app.metrics.endpoint(endpoint).record(
@@ -320,12 +354,22 @@ class AsyncFrontDoor:
     @staticmethod
     async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(MAX_HEADER_LINES + 1):
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 return headers
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        raise _Refused(431, f"more than {MAX_HEADER_LINES} header lines")
+
+    def _body_length(self, headers: Dict[str, str]) -> int:
+        length = headers.get("content-length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _Refused(400, f"malformed Content-Length: {length!r}")
+        if int(length) > self.app.max_body_bytes:
+            raise _Refused(413, f"Content-Length {length} exceeds this model's "
+                                f"limit of {self.app.max_body_bytes} bytes")
+        return int(length)
 
     async def _route(self, method: str, path: str, body: bytes):
         """Dispatch one request; returns (endpoint, status, payload, headers)."""

@@ -201,6 +201,25 @@ def test_bench_gate_runs_the_fig8_hybrid_bp_memory_band(workflow):
     assert "pytest" in runs[install_idx].split("pip install", 1)[1].split()
 
 
+def test_bench_gate_runs_the_fig5_memory_budgets(workflow):
+    """Fig. 5 asserts that every quadratic model needs more training memory
+    than its first-order twin, from the estimate a two-batch probe makes.
+    Like Fig. 8 it is a pytest benchmark run from ``benchmarks/`` with
+    pytest-benchmark installed and timing disabled."""
+    steps = workflow["jobs"]["bench-gate"]["steps"]
+    runs = [step.get("run", "") for step in steps]
+    fig5_idx = next((i for i, run in enumerate(runs)
+                     if "bench_fig5_memory_budgets.py" in run), None)
+    assert fig5_idx is not None, "bench-gate never runs the Fig. 5 memory benchmark"
+    fig5 = steps[fig5_idx]
+    assert fig5.get("working-directory") == "benchmarks"
+    assert "python -m pytest" in fig5["run"] and "--benchmark-disable" in fig5["run"]
+    assert "PYTHONPATH=../src" in fig5["run"]
+    install_idx = next((i for i, run in enumerate(runs)
+                        if "pip install" in run and "pytest-benchmark" in run), None)
+    assert install_idx is not None and install_idx < fig5_idx
+
+
 def test_bench_gate_runs_the_trajectory_check_after_the_benches(workflow):
     """The trajectory-relative regression gate runs once, after every bench
     that appends to ``results/trajectory.jsonl`` — so its verdict covers all

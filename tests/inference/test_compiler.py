@@ -121,7 +121,7 @@ class TestLayerRules:
         x = RNG.standard_normal((3, 6)).astype(np.float32)
         np.testing.assert_array_equal(compiled(x), eager(model, x))
 
-    def test_grouped_convolution_keeps_eager_einsum(self):
+    def test_grouped_convolution_matches_eager(self):
         model = nn.Sequential(nn.Conv2d(4, 8, 3, padding=1, groups=2))
         x = RNG.standard_normal((2, 4, 8, 8)).astype(np.float32)
         assert_compiled_matches(model, x)

@@ -89,6 +89,17 @@ class TestMemoryEstimate:
         assert est.gradient_bytes == est.parameter_bytes
         assert est.activation_bytes_per_sample > 0
 
+    @pytest.mark.parametrize("neuron_type", ["first_order", "T2_4"])
+    def test_total_does_not_depend_on_the_probe_batch(self, neuron_type):
+        """The weights each node saves for backward do not scale with the batch."""
+        model = SmallConvNet(num_classes=10,
+                             config=QuadraticModelConfig(neuron_type=neuron_type,
+                                                         width_multiplier=0.5))
+        small = estimate_training_memory(model, (3, 32, 32), probe_batch_size=2, num_classes=10)
+        large = estimate_training_memory(model, (3, 32, 32), probe_batch_size=8, num_classes=10)
+        for batch_size in (1, 32, 512):
+            assert small.total_bytes(batch_size) == large.total_bytes(batch_size)
+
     def test_total_scales_with_batch_size(self):
         model = SmallConvNet(num_classes=10, config=QuadraticModelConfig(width_multiplier=0.5))
         est = estimate_training_memory(model, (3, 32, 32), probe_batch_size=2, num_classes=10)

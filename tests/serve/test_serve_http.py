@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import json
 import socket
 import urllib.error
@@ -42,6 +44,11 @@ class StubPool:
         if self.behaviour == "crashed":
             raise WorkerCrashed("worker 0 died with this request in flight")
         return np.asarray(sample, dtype=np.float32).sum(axis=(1, 2))
+
+    def submit(self, sample):
+        future = concurrent.futures.Future()
+        future.set_result(self.predict(sample))
+        return future
 
     def alive_workers(self):
         return 1
@@ -154,12 +161,19 @@ class TestServeEntryPointArguments:
 
 
 def raw_http(port: int, request: bytes) -> bytes:
-    """Send raw bytes on a fresh connection; everything read until it closes."""
+    """Send raw bytes on a fresh connection; everything read until it closes.
+
+    A server that hangs up on a request it will not read may reset the
+    connection while bytes are still in flight; what arrived before the reset
+    is the answer.
+    """
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        sock.sendall(request)
         chunks = []
-        while chunk := sock.recv(65536):
-            chunks.append(chunk)
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+            sock.sendall(request)
+        with contextlib.suppress(ConnectionResetError):
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
     return b"".join(chunks)
 
 
@@ -178,6 +192,45 @@ class TestFrontDoorFraming:
             healthz = raw_http(door.port, b"GET /healthz HTTP/1.1\r\n"
                                           b"Connection: close\r\n\r\n")
             assert healthz.startswith(b"HTTP/1.1 200 ")
+        finally:
+            door.shutdown()
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        pytest.param(b"POST /predict HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n",
+                     413, id="huge-content-length-without-body"),
+        pytest.param(b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+                     431, id="request-line-over-64KiB"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n",
+                     431, id="header-line-over-64KiB"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\n"
+                     + b"".join(b"X-Pad-%d: y\r\n" % i for i in range(20000)) + b"\r\n",
+                     431, id="20000-header-lines"),
+    ])
+    def test_oversized_request_is_refused_and_closes(self, request_bytes, status):
+        app = make_app()
+        door = AsyncFrontDoor(app, "127.0.0.1", 0).start()
+        try:
+            response = raw_http(door.port, request_bytes)
+            assert response.startswith(b"HTTP/1.1 %d " % status)
+            assert response.count(b"HTTP/1.1 ") == 1
+            assert b"Connection: close" in response
+            healthz = raw_http(door.port, b"GET /healthz HTTP/1.1\r\n"
+                                          b"Connection: close\r\n\r\n")
+            assert healthz.startswith(b"HTTP/1.1 200 ")
+            other = app.metrics.to_dict()["endpoints"]["other"]
+            assert (other["requests"], other["errors_4xx"]) == (1, 1)
+        finally:
+            door.shutdown()
+
+    def test_pretty_printed_body_is_under_the_cap(self):
+        app = make_app()
+        door = AsyncFrontDoor(app, "127.0.0.1", 0).start()
+        try:
+            sample = np.random.default_rng(0).standard_normal(SHAPE).astype(np.float32)
+            body = json.dumps({"input": sample.tolist()}, indent=2).encode()
+            response = raw_http(door.port, b"POST /predict HTTP/1.1\r\nConnection: close\r\n"
+                                + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            assert response.startswith(b"HTTP/1.1 200 ")
         finally:
             door.shutdown()
 
