@@ -8,9 +8,11 @@ memory (parameters + gradients + optimizer state + cached activations scaled
 to the target batch size) against the three GPU budgets.
 """
 
+import os
+
 import pytest
 
-from common import WIDTH, fresh_seed, gib, save_experiment
+from common import WIDTH, append_trajectory, fresh_seed, gib, quick_mode, save_experiment
 from repro.analysis import ascii_bar_chart
 from repro.builder import QuadraticModelConfig
 from repro.models import ResNet, vgg_from_cfg
@@ -20,7 +22,10 @@ from repro.utils import print_table
 BATCH = 512          # the paper's profiling batch size
 IMAGE = 16           # probe resolution (paper: 32); activations scale accordingly
 
-# Scaled stand-ins for the three profiled structures.
+# Scaled stand-ins for the three profiled structures.  ``TRAJECTORY_KEYS``
+# names each one's total-bytes fields in the trajectory record.
+TRAJECTORY_KEYS = {"VGG-16": "vgg16", "ResNet-32": "resnet32",
+                   "ResNet-50-like": "resnet50_like"}
 STRUCTURES = {
     "VGG-16": lambda config: vgg_from_cfg(
         [16, 16, "M", 32, 32, "M", 32, 32, 32, "M"], num_classes=10, config=config),
@@ -32,6 +37,7 @@ STRUCTURES = {
 def test_fig5_training_memory_vs_gpu_budgets(benchmark):
     fresh_seed(5)
     rows = []
+    headline = {"quick_mode": quick_mode(), "cpus": os.cpu_count() or 1}
     results = {"batch_size": BATCH, "budgets_gib": {k: gib(v) for k, v in GPU_MEMORY_BUDGETS.items()}}
 
     for name, builder in STRUCTURES.items():
@@ -40,6 +46,9 @@ def test_fig5_training_memory_vs_gpu_budgets(benchmark):
         quadratic = builder(QuadraticModelConfig(neuron_type="T2_4", width_multiplier=WIDTH))
         est_first = estimate_training_memory(first_order, (3, IMAGE, IMAGE), num_classes=10)
         est_quad = estimate_training_memory(quadratic, (3, IMAGE, IMAGE), num_classes=10)
+        key = TRAJECTORY_KEYS[name]
+        headline[f"{key}_first_order_total_bytes"] = int(est_first.total_bytes(BATCH))
+        headline[f"{key}_quadratic_total_bytes"] = int(est_quad.total_bytes(BATCH))
         ratio = est_quad.total_bytes(BATCH) / est_first.total_bytes(BATCH)
         rows.append([name, round(gib(est_first.total_bytes(BATCH)), 3),
                      round(gib(est_quad.total_bytes(BATCH)), 3), round(ratio, 2)])
@@ -65,6 +74,7 @@ def test_fig5_training_memory_vs_gpu_budgets(benchmark):
                           title="Fig. 5 (ASCII): training memory (GiB) vs. GPU budgets",
                           reference_lines={gpu: gib(b) for gpu, b in GPU_MEMORY_BUDGETS.items()}))
     save_experiment("fig5_memory_budgets", results)
+    append_trajectory("fig5_memory_budgets", headline)
 
     # Shape of the paper's figure: the quadratic model always needs more
     # training memory than the first-order model of the same structure.

@@ -24,9 +24,11 @@ matching it numerically, and it still writes the JSON result artifact.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from common import fresh_seed, quick_mode, save_experiment
+from common import append_trajectory, fresh_seed, quick_mode, save_experiment
 
 from repro.experiment import Experiment, get_preset
 from repro.inference import measure_serving
@@ -113,6 +115,14 @@ def main() -> None:
         "quick_mode": quick,
         **results,
         "throughput_sweep": sweep_results,
+    })
+    append_trajectory("inference_throughput", {
+        "quick_mode": quick,
+        "cpus": os.cpu_count() or 1,
+        "speedup": results["speedup"],
+        "eager_ms_per_sample": results["eager_ms_per_sample"],
+        "compiled_ms_per_sample": results["compiled_ms_per_sample"],
+        "throughput_samples_per_s": results["throughput_samples_per_s"],
     })
 
 

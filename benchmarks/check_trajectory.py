@@ -46,6 +46,21 @@ DIRECTIONS = {
         "converted_qps": "higher",
         "converted_online_ms": "lower",
     },
+    "inference_throughput": {
+        "speedup": "higher",
+    },
+    "fig8_hybrid_bp": {
+        "default_peak_bytes": "lower",
+        "hybrid_peak_bytes": "lower",
+    },
+    "fig5_memory_budgets": {
+        "vgg16_first_order_total_bytes": "lower",
+        "vgg16_quadratic_total_bytes": "lower",
+        "resnet32_first_order_total_bytes": "lower",
+        "resnet32_quadratic_total_bytes": "lower",
+        "resnet50_like_first_order_total_bytes": "lower",
+        "resnet50_like_quadratic_total_bytes": "lower",
+    },
 }
 
 

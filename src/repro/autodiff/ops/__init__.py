@@ -1,5 +1,5 @@
 """Primitive differentiable operations grouped by family."""
 
-from . import conv, elementwise, matmul, reduce, shape
+from . import conv, elementwise, matmul, norm, reduce, shape
 
-__all__ = ["conv", "elementwise", "matmul", "reduce", "shape"]
+__all__ = ["conv", "elementwise", "matmul", "norm", "reduce", "shape"]

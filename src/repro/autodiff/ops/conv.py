@@ -5,7 +5,8 @@ are gathered into a matrix and the convolution becomes a batched matrix
 multiplication, which keeps all heavy lifting inside BLAS.  Grouped
 convolution is supported so that MobileNet-style depthwise convolutions
 (``groups == in_channels``) — one of the three backbone families evaluated in
-the paper's Table 3 — work out of the box.
+the paper's Table 3 — work out of the box.  Max pooling is a running
+maximum over strided window views (:func:`window_max`), with no gather.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..function import Context, Function
+from ..grad_mode import is_grad_enabled
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -107,6 +109,64 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, stride: Tuple[int, int],
     return np.matmul(wmat, cols).reshape(n, f, oh, ow)
 
 
+def _holds_both_zeros(x: np.ndarray) -> bool:
+    """Whether the float array ``x`` holds a ``+0.0`` and a ``-0.0``."""
+    bits = x.view(f"u{x.itemsize}")
+    negative_zero = np.array(-0.0, dtype=x.dtype).view(bits.dtype)
+    return bool((bits == 0).any()) and bool((bits == negative_zero).any())
+
+
+def window_max(x: np.ndarray, kh: int, kw: int, stride: Tuple[int, int],
+               padding: Tuple[int, int], out: Optional[np.ndarray] = None,
+               with_index: bool = False):
+    """Maximum of every kh×kw window of ``x`` (N, C, H, W), zero-padded.
+
+    The one max-pool kernel: the eager :class:`MaxPool2d` node,
+    ``Backend.maxpool`` and the secure max pool all call it.  It takes a
+    running maximum over the kh·kw strided window views in row-major
+    order.  Of equal elements the earlier one wins, ``-0.0``/``+0.0`` ties
+    included, and a NaN anywhere in a window makes that window NaN.
+    Comparisons only, so it is exact on integer arrays too.
+
+    ``out`` is an optional destination of the output shape.  With
+    ``with_index`` it also returns the winner index: the first window
+    position ``k = i·kw + j`` whose element equals the max (``uint8`` while
+    kh·kw ≤ 256; a NaN window's index is 0).
+    """
+    n, c, h, w = x.shape
+    sh, sw = stride
+    ph, pw = padding
+    oh = conv_output_size(h, kh, sh, ph)
+    ow = conv_output_size(w, kw, sw, pw)
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+    views = [x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+             for i in range(kh) for j in range(kw)]
+    if out is None:
+        out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    np.copyto(out, views[0])
+    if x.dtype.kind == "f" and _holds_both_zeros(x):
+        # np.maximum's pick between tied -0.0 and +0.0 is the platform's
+        # (x86 keeps the second operand, aarch64 returns +0.0), so here a
+        # later element replaces the max only where it is greater or NaN.
+        for view in views[1:]:
+            np.copyto(out, view, where=np.greater(view, out) | np.isnan(view))
+    else:
+        # Equal elements have equal bits, so np.maximum's pick cannot show.
+        for view in views[1:]:
+            np.maximum(view, out, out=out)
+    if not with_index:
+        return out
+    # The winner's position is the number of leading elements below the max.
+    below = np.less(views[0], out)
+    index = below.astype(np.uint8 if len(views) <= 256 else np.intp)
+    is_less = np.empty(out.shape, dtype=bool)
+    for view in views[1:-1]:
+        np.logical_and(below, np.less(view, out, out=is_less), out=below)
+        np.add(index, below, out=index)
+    return out, index
+
+
 # Backward lowering, shared by :class:`Conv2d` and the quadratic convolution
 # node: channel-major columns (C, kh, kw, N, OH, OW) viewed as
 # (G, K, N·OH·OW), so each gradient GEMM is one BLAS call per group.
@@ -187,40 +247,53 @@ class Conv2d(Function):
 
 
 class MaxPool2d(Function):
-    """Max pooling with square-or-rectangular windows."""
+    """Max pooling with square-or-rectangular windows and zero padding.
+
+    The forward is :func:`window_max`.  A call recorded for backward also
+    keeps the winner index (one byte per output element), and the backward
+    routes each output gradient to its window's first maximal element.
+    """
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, kernel_size=2, stride=None, padding=0) -> np.ndarray:
         kh, kw = _pair(kernel_size)
         stride = _pair(stride if stride is not None else kernel_size)
         padding = _pair(padding)
-        n, c, h, w = x.shape
-        oh = conv_output_size(h, kh, stride[0], padding[0])
-        ow = conv_output_size(w, kw, stride[1], padding[1])
-
-        cols = im2col(x, kh, kw, stride, padding)       # (N, C, kh, kw, OH, OW)
-        cols = cols.reshape(n, c, kh * kw, oh, ow)
-        argmax = cols.argmax(axis=2)
-        out = np.take_along_axis(cols, argmax[:, :, None], axis=2).squeeze(2)
-
+        if not is_grad_enabled():
+            return window_max(x, kh, kw, stride, padding)
+        out, index = window_max(x, kh, kw, stride, padding, with_index=True)
         ctx.kernel = (kh, kw)
         ctx.stride, ctx.padding = stride, padding
         ctx.x_shape = x.shape
-        ctx.save_for_backward(argmax.astype(np.int32))
+        ctx.save_for_backward(index)
         return out
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        (argmax,) = ctx.saved_tensors
+        (index,) = ctx.saved_tensors
         kh, kw = ctx.kernel
+        (sh, sw), (ph, pw) = ctx.stride, ctx.padding
         n, c, h, w = ctx.x_shape
+        grad = np.asarray(grad)
         oh, ow = grad.shape[2], grad.shape[3]
-        cols_grad = np.zeros((n, c, kh * kw, oh, ow), dtype=grad.dtype)
-        np.put_along_axis(cols_grad, argmax[:, :, None].astype(np.intp),
-                          np.asarray(grad)[:, :, None], axis=2)
-        cols_grad = cols_grad.reshape(n, c, kh, kw, oh, ow)
-        gx = col2im(cols_grad, ctx.x_shape, kh, kw, ctx.stride, ctx.padding)
-        return (gx, None, None, None)
+        # Each window position k takes the gradient's bits ANDed with an
+        # all-ones mask where k won and all-zeros elsewhere: a non-winner
+        # gets exactly +0.0 (an inf or NaN gradient stays at its winner) and
+        # adding into zeros keeps the bits of a dense scatter; overlapping
+        # windows add in window order.
+        gx = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad.dtype)
+        bits = np.dtype(f"i{grad.itemsize}")
+        grad_bits = grad.view(bits)
+        hit = np.empty(index.shape, dtype=bool)
+        mask = np.empty(index.shape, dtype=bits)
+        routed = np.empty(index.shape, dtype=bits)
+        for k in range(kh * kw):
+            i, j = divmod(k, kw)
+            np.equal(index, k, out=hit)
+            np.negative(hit.view(np.int8), out=mask)       # 0 or all ones
+            np.bitwise_and(grad_bits, mask, out=routed)
+            gx[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += routed.view(grad.dtype)
+        return (gx[:, :, ph:ph + h, pw:pw + w], None, None, None)
 
 
 class AvgPool2d(Function):

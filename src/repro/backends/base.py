@@ -35,6 +35,7 @@ import numpy as np
 
 from ..autodiff.function import Context
 from ..autodiff.ops import conv as conv_ops
+from ..autodiff.ops.conv import _pair, window_max
 from ..autodiff.ops.conv import im2col as _im2col
 from ..quadratic.functional import FUSED_COMBINERS
 
@@ -115,14 +116,19 @@ class Backend:
         return FUSED_COMBINERS[neuron_type](*responses, out=out, ops=self)
 
     # --------------------------------------------------------------- pooling
-    def maxpool(self, x: np.ndarray, kernel_size, stride, padding) -> np.ndarray:
-        """General max pooling (the autodiff op's forward; bit-identical).
+    def maxpool(self, x: np.ndarray, kernel_size, stride, padding,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """General max pooling: :func:`~repro.autodiff.ops.conv.window_max`.
 
-        Under ``inference_mode`` the op's ``save_for_backward`` is a no-op,
-        so this is pure forward arithmetic.
+        The kernel the eager ``MaxPool2d`` node runs, so the bits match
+        eager evaluation, ``-0.0``/``+0.0`` ties and NaN windows included.
+        ``stride`` ``None`` means the kernel size.  ``out``, when given,
+        receives the pooled output (the compiled step passes its planned
+        activation buffer).
         """
-        return conv_ops.MaxPool2d.forward(Context(), x, kernel_size=kernel_size,
-                                          stride=stride, padding=padding)
+        kh, kw = _pair(kernel_size)
+        stride = _pair(stride if stride is not None else kernel_size)
+        return window_max(x, kh, kw, stride, _pair(padding), out=out)
 
     def avgpool(self, x: np.ndarray, kernel_size, stride=None,
                 padding=0) -> np.ndarray:

@@ -51,7 +51,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..autodiff.grad_mode import inference_mode
-from ..autodiff.ops.conv import conv_output_size
+from ..autodiff.ops.conv import _pair, conv_output_size
+from ..autodiff.ops.norm import stat_axes
 from ..autodiff.tensor import Tensor
 from ..backends import Backend, get_backend
 from ..nn.layers.normalization import _BatchNorm
@@ -327,7 +328,7 @@ def _compile_batchnorm(op: Op, build: _FloatBuild) -> Step:
             mean = module.running_mean.reshape(shape)
             var = module.running_var.reshape(shape)
         else:
-            axes = module._stat_axes(x)
+            axes = stat_axes(x.ndim)
             mean = x.mean(axis=axes, keepdims=True)
             delta = x - mean
             var = np.multiply(delta, delta, out=delta).mean(axis=axes, keepdims=True)
@@ -495,16 +496,26 @@ def _compile_upsample(op: Op, build: _FloatBuild) -> Step:
 # --------------------------------------------------------------------------- #
 
 def _compile_maxpool(op: Op, build: _FloatBuild) -> Step:
+    """Max pooling into the planned activation buffer.
+
+    ``Backend.maxpool`` is the window-max kernel the eager node runs, so the
+    step shares its bits, ``-0.0``/``+0.0`` ties included; like
+    ``batchnorm_step`` it writes a pooled buffer instead of a fresh array.
+    """
     be = build.backend
+    pool = build.pool
     module = op.module
     kernel_size, stride, padding = module.kernel_size, module.stride, module.padding
+    kh, kw = _pair(kernel_size)
+    sh, sw = _pair(stride if stride is not None else kernel_size)
+    ph, pw = _pair(padding)
+    out_key = build.planner.activation(build.next_key())
 
     def maxpool_step(x: np.ndarray) -> np.ndarray:
-        # The backend's pooling primitive (the reference is the autodiff op's
-        # forward, bit-identical to eager evaluation).  A reshape-and-max
-        # route for non-overlapping windows is not: NumPy's max keeps the
-        # later of tied -0.0/+0.0 where eager argmax keeps the first.
-        return be.maxpool(x, kernel_size, stride, padding)
+        n, c, h, w = x.shape
+        out = pool.get(out_key, (n, c, conv_output_size(h, kh, sh, ph),
+                                 conv_output_size(w, kw, sw, pw)))
+        return be.maxpool(x, kernel_size, stride, padding, out=out)
 
     return maxpool_step
 

@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..autodiff.ops.norm import BatchNorm as _BatchNorm
 from ..autodiff.tensor import Tensor, where as _where
 
 
@@ -116,15 +117,27 @@ def dropout(x: Tensor, p: float = 0.5, training: bool = True,
 # Normalisation
 # --------------------------------------------------------------------------- #
 
-def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, mean: Tensor, var: Tensor,
-               eps: float = 1e-5) -> Tensor:
-    """Affine batch normalisation given precomputed statistics.
+def batch_norm(x: Tensor, running_mean: Optional[np.ndarray] = None,
+               running_var: Optional[np.ndarray] = None, weight: Optional[Tensor] = None,
+               bias: Optional[Tensor] = None, training: bool = False,
+               momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """Batch normalisation over every axis but the channel axis 1: one node.
 
-    ``mean``/``var`` must already be broadcastable to ``x`` (the BatchNorm
-    layers handle reshaping and the running-statistics bookkeeping).
+    Normalises with the batch statistics when ``training`` is set or no
+    running statistics are given, and then (training, buffers given) folds
+    the batch into ``running_mean``/``running_var`` in place.  Otherwise the
+    running statistics normalise.  ``weight``/``bias`` are (C,); omitted,
+    the affine step multiplies by ones and adds zeros.  See
+    :class:`repro.autodiff.ops.norm.BatchNorm` for the node and its backward.
     """
-    inv_std = (var + eps) ** -0.5
-    return (x - mean) * inv_std * weight + bias
+    channels = x.shape[1]
+    if weight is None:
+        weight = np.ones(channels, dtype=np.float32)
+    if bias is None:
+        bias = np.zeros(channels, dtype=np.float32)
+    return _BatchNorm.apply(x, weight, bias, running_mean, running_var,
+                            training=training or running_mean is None,
+                            momentum=momentum, eps=eps)
 
 
 # --------------------------------------------------------------------------- #

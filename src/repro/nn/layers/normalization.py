@@ -37,46 +37,19 @@ class _BatchNorm(Module):
             self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
             self.register_buffer("num_batches_tracked", np.zeros(1, dtype=np.int64))
 
-    def _stat_axes(self, x: Tensor):
-        raise NotImplementedError
-
-    def _reshape_stat(self, value, ndim: int):
-        raise NotImplementedError
-
     def forward(self, x: Tensor) -> Tensor:
-        axes = self._stat_axes(x)
-        if self.training or not self.track_running_stats:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = ((x - mean) * (x - mean)).mean(axis=axes, keepdims=True)
-            if self.track_running_stats:
-                m = self.momentum
-                batch_mean = mean.data.reshape(self.num_features)
-                batch_var = var.data.reshape(self.num_features)
-                # Unbiased variance for the running estimate, like PyTorch.
-                count = x.size / self.num_features
-                unbiased = batch_var * count / max(count - 1, 1)
-                self.running_mean[...] = (1 - m) * self.running_mean + m * batch_mean
-                self.running_var[...] = (1 - m) * self.running_var + m * unbiased
-                self.num_batches_tracked[...] += 1
-        else:
-            mean = Tensor(self._reshape_stat(self.running_mean, x.ndim))
-            var = Tensor(self._reshape_stat(self.running_var, x.ndim))
-
-        if self.affine:
-            weight = self.weight.reshape(self._stat_shape(x.ndim))
-            bias = self.bias.reshape(self._stat_shape(x.ndim))
-        else:
-            weight = Tensor(np.ones(self._stat_shape(x.ndim), dtype=np.float32))
-            bias = Tensor(np.zeros(self._stat_shape(x.ndim), dtype=np.float32))
-        return F.batch_norm(x, weight, bias, mean, var, eps=self.eps)
+        weight, bias = (self.weight, self.bias) if self.affine else (None, None)
+        if not self.track_running_stats:
+            return F.batch_norm(x, None, None, weight, bias, eps=self.eps)
+        if self.training:
+            self.num_batches_tracked[...] += 1
+        return F.batch_norm(x, self.running_mean, self.running_var, weight, bias,
+                            training=self.training, momentum=self.momentum, eps=self.eps)
 
     def _stat_shape(self, ndim: int):
         shape = [1] * ndim
         shape[1] = self.num_features
         return tuple(shape)
-
-    def _reshape_stat(self, value: np.ndarray, ndim: int) -> np.ndarray:
-        return value.reshape(self._stat_shape(ndim))
 
     def extra_repr(self) -> str:
         return (f"{self.num_features}, eps={self.eps}, momentum={self.momentum}, "
@@ -86,15 +59,9 @@ class _BatchNorm(Module):
 class BatchNorm2d(_BatchNorm):
     """Batch normalisation over (N, H, W) for each channel of an NCHW tensor."""
 
-    def _stat_axes(self, x: Tensor):
-        return (0, 2, 3)
-
 
 class BatchNorm1d(_BatchNorm):
     """Batch normalisation over the batch axis of (N, C) or (N, C, L) tensors."""
-
-    def _stat_axes(self, x: Tensor):
-        return (0,) if x.ndim == 2 else (0, 2)
 
 
 class LayerNorm(Module):

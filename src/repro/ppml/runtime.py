@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..autodiff.ops.conv import _pair, conv_output_size, im2col
+from ..autodiff.ops.conv import _pair, conv_output_size, im2col, window_max
 from ..inference.buffers import BufferPool
 from ..inference.lowering import EXPANDED_KINDS, KINDS, Op, lower
 from ..nn.module import Module
@@ -651,17 +651,11 @@ def _pool_geometry(module) -> Tuple[int, int, Tuple[int, int], Tuple[int, int]]:
 def _secure_maxpool(op: Op, build: _SecureBuild) -> SecureStep:
     name = op.name
     kh, kw, stride, padding = _pool_geometry(op.module)
-    key = build.next_key()
 
     def maxpool_step(q: np.ndarray, ctx: _SecureContext) -> np.ndarray:
-        n, c, h, w = q.shape
-        oh = conv_output_size(h, kh, stride[0], padding[0])
-        ow = conv_output_size(w, kw, stride[1], padding[1])
-        # Same zero-padded window gather as the eager/float path, evaluated
-        # with exact integer comparisons (kh*kw-1 per output element).
-        cols_buf = ctx.pool.get((key, "cols"), (n, c, kh, kw, oh, ow), dtype=np.int64)
-        cols = im2col(q, kh, kw, stride, padding, out=cols_buf)
-        out = cols.reshape(n, c, kh * kw, oh, ow).max(axis=2)
+        # The float path's zero-padded window max, evaluated with exact
+        # integer comparisons (kh*kw-1 per output element).
+        out = window_max(q, kh, kw, stride, padding)
         ctx.record(name, "MaxPool2d", out.shape,
                    relu_ops=out.size * max(kh * kw - 1, 1), rounds=ROUNDS_GARBLED)
         return out

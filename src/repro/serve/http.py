@@ -9,10 +9,14 @@ Three endpoints, all JSON:
   over the body cap the app derives from its input shape is ``413``; more
   than ``MAX_HEADER_LINES`` header lines, or a request or header line over
   ``MAX_LINE_BYTES``, is ``431``.  Both close the connection unread, and are
-  counted under the ``other`` endpoint like the ``400``.  Over the latency budget is
-  ``429`` with a ``Retry-After`` header (admission control — the client's
-  load, not our failure); a saturated pool or a draining server is ``503``
-  (load shedding); a worker failure that exhausted its retries is ``500``.
+  counted under the ``other`` endpoint like the ``400``.  After such a
+  refusal the front door half-closes and discards what the client is still
+  sending (at most ``LINGER_BYTES`` for ``LINGER_SECONDS``), so a client in
+  mid-upload reads the answer rather than a connection reset.  Over the
+  latency budget is ``429`` with a ``Retry-After`` header (admission
+  control — the client's load, not our failure); a saturated pool or a
+  draining server is ``503`` (load shedding); a worker failure that
+  exhausted its retries is ``500``.
 * ``GET /healthz`` — ``200 {"status": "ok"}`` while serving, ``503`` with
   ``"draining"``/``"unhealthy"`` while shutting down or with dead workers.
   A pool over its latency *budget* stays ``200``: busy is not broken.
@@ -63,6 +67,11 @@ MAX_LINE_BYTES = 1 << 16
 #: one line-length of envelope: room for any float32 pretty-printed by
 #: ``json.dumps(..., indent=4)``.
 BODY_BYTES_PER_ELEMENT = 64
+#: After refusing a request unread, discard what the client still sends for
+#: at most this long and this many bytes before closing: closing with unread
+#: data makes the kernel reset the connection, and the client loses the answer.
+LINGER_SECONDS = 2.0
+LINGER_BYTES = 1 << 24
 
 
 class ServingApp:
@@ -222,6 +231,23 @@ class _Refused(Exception):
         self.status = status
 
 
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Half-close, then read and drop bytes until EOF or the linger bounds."""
+    writer.write_eof()
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + LINGER_SECONDS
+    received = 0
+    while received < LINGER_BYTES:
+        try:
+            chunk = await asyncio.wait_for(reader.read(MAX_LINE_BYTES),
+                                           deadline - loop.time())
+        except asyncio.TimeoutError:
+            return
+        if not chunk:
+            return
+        received += len(chunk)
+
+
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
     try:
         return await reader.readline()
@@ -323,19 +349,24 @@ class AsyncFrontDoor:
                     body = await reader.readexactly(self._body_length(headers))
                 except _Refused as refused:
                     # No later byte on this connection can be framed as a
-                    # request: answer and hang up.  Only the answer is timed.
+                    # request: answer, drain and hang up.  Only the answer
+                    # is timed.
                     started = time.perf_counter()
                     endpoint, status, extra, close = "other", refused.status, [], True
                     payload = {"error": str(refused)}
+                    refused_unread = True
                 else:
                     endpoint, status, payload, extra = await self._route(method, path, body)
                     close = (headers.get("connection", "").lower() == "close"
                              or version == "HTTP/1.0")
+                    refused_unread = False
                 await self._respond(writer, status, payload, extra, close)
                 latency_ms = (time.perf_counter() - started) * 1000.0
                 self.app.metrics.endpoint(endpoint).record(
                     latency_ms, status,
                     shed=endpoint == "/predict" and status in (429, 503))
+                if refused_unread:
+                    await _linger(reader, writer)
                 if close:
                     break
         except (asyncio.IncompleteReadError, asyncio.CancelledError,

@@ -215,4 +215,7 @@ class TestGateScript:
 
     def test_gate_covers_both_serving_benches(self):
         assert set(check_trajectory.DIRECTIONS) == {"serving_scaleout",
-                                                    "secure_serving"}
+                                                    "secure_serving",
+                                                    "inference_throughput",
+                                                    "fig8_hybrid_bp",
+                                                    "fig5_memory_budgets"}

@@ -283,3 +283,36 @@ def test_lint_job_checks_doc_links_and_docstrings(workflow):
                     for job, step in all_steps(workflow) if job == "lint")
     assert "tests/docs/test_doc_links.py" in runs
     assert (REPO_ROOT / "tests" / "docs" / "test_doc_links.py").exists()
+
+
+def trajectory_directions() -> dict:
+    """``check_trajectory.DIRECTIONS``, read from the script without running it."""
+    tree = ast.parse((REPO_ROOT / "benchmarks" / "check_trajectory.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "DIRECTIONS"
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("check_trajectory.py no longer defines DIRECTIONS")
+
+
+def test_every_bench_gate_trajectory_record_is_gated(workflow):
+    """The benches the gate job runs append exactly the registered records.
+
+    ``check_trajectory.py`` gates only the benchmarks its ``DIRECTIONS``
+    names: a record nobody registered is history that can never fail CI,
+    and a registered name no gated bench writes is a gate that never fires.
+    """
+    runs = " ".join(step.get("run", "") for job, step in all_steps(workflow)
+                    if job == "bench-gate")
+    appended = set()
+    for bench in set(re.findall(r"\bbench_\w+\.py", runs)):
+        source = (REPO_ROOT / "benchmarks" / bench).read_text()
+        appended.update(re.findall(r"append_trajectory\(\s*\"(\w+)\"", source))
+    assert {"fig8_hybrid_bp", "fig5_memory_budgets", "inference_throughput",
+            "serving_scaleout", "secure_serving"} <= appended
+    registered = set(trajectory_directions())
+    assert not appended - registered, \
+        f"bench-gate records with no DIRECTIONS entry: {appended - registered}"
+    assert not registered - appended, \
+        f"DIRECTIONS entries no bench-gate bench writes: {registered - appended}"

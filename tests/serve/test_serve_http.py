@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import http.client
 import json
 import socket
 import urllib.error
@@ -219,6 +220,25 @@ class TestFrontDoorFraming:
             assert healthz.startswith(b"HTTP/1.1 200 ")
             other = app.metrics.to_dict()["endpoints"]["other"]
             assert (other["requests"], other["errors_4xx"]) == (1, 1)
+        finally:
+            door.shutdown()
+
+    def test_http_client_reads_the_413_of_a_body_it_is_still_sending(self):
+        """A refused upload is drained after the answer, not reset under it."""
+        app = make_app()
+        door = AsyncFrontDoor(app, "127.0.0.1", 0).start()
+        try:
+            for _ in range(3):
+                connection = http.client.HTTPConnection("127.0.0.1", door.port, timeout=10)
+                try:
+                    connection.request("POST", "/predict", body=b"0" * (4 << 20))
+                    response = connection.getresponse()
+                    assert response.status == 413
+                    assert b"exceeds" in response.read()
+                finally:
+                    connection.close()
+            other = app.metrics.to_dict()["endpoints"]["other"]
+            assert (other["requests"], other["errors_4xx"]) == (3, 3)
         finally:
             door.shutdown()
 
