@@ -30,7 +30,9 @@ from common import (check_against_trajectory, format_trajectory_findings,
 #: Per-benchmark headline fields and which direction is *better*.  A
 #: benchmark absent from this registry is reported but never gated; a field
 #: absent from a record yields a ``missing`` finding (also never a failure,
-#: so the registry can grow ahead of the benches).
+#: so the registry can grow ahead of the benches).  ``"lower-exact"`` marks
+#: a deterministic byte count: identical from run to run, so it is gated
+#: with no relative slack.
 DIRECTIONS = {
     "serving_scaleout": {
         "baseline_samples_per_s": "higher",
@@ -50,16 +52,16 @@ DIRECTIONS = {
         "speedup": "higher",
     },
     "fig8_hybrid_bp": {
-        "default_peak_bytes": "lower",
-        "hybrid_peak_bytes": "lower",
+        "default_peak_bytes": "lower-exact",
+        "hybrid_peak_bytes": "lower-exact",
     },
     "fig5_memory_budgets": {
-        "vgg16_first_order_total_bytes": "lower",
-        "vgg16_quadratic_total_bytes": "lower",
-        "resnet32_first_order_total_bytes": "lower",
-        "resnet32_quadratic_total_bytes": "lower",
-        "resnet50_like_first_order_total_bytes": "lower",
-        "resnet50_like_quadratic_total_bytes": "lower",
+        "vgg16_first_order_total_bytes": "lower-exact",
+        "vgg16_quadratic_total_bytes": "lower-exact",
+        "resnet32_first_order_total_bytes": "lower-exact",
+        "resnet32_quadratic_total_bytes": "lower-exact",
+        "resnet50_like_first_order_total_bytes": "lower-exact",
+        "resnet50_like_quadratic_total_bytes": "lower-exact",
     },
 }
 

@@ -189,21 +189,27 @@ TRAJECTORY_MAD_K = 4.0
 TRAJECTORY_CONTEXT_FIELDS = ("cpus", "quick_mode")
 
 
-def trajectory_band(values) -> tuple:
+#: Direction suffix of a deterministic count (``"lower-exact"``): its band
+#: gets no relative floor, so a constant history allows no slack at all.
+EXACT_SUFFIX = "-exact"
+
+
+def trajectory_band(values, rel_floor: float = TRAJECTORY_REL_FLOOR) -> tuple:
     """``(median, tolerance)`` of a metric's history.
 
     The tolerance is ``max(rel_floor x |median|, mad_k x MAD)``: the
     relative floor keeps quiet histories from flagging ordinary noise, and
     the MAD term widens the band to whatever spread the history itself
     exhibits — the band is derived from the trajectory's own dispersion,
-    not from a hand-picked absolute threshold.
+    not from a hand-picked absolute threshold.  Exact fields pass
+    ``rel_floor=0``.
     """
     if not values:
         raise ValueError("trajectory_band needs at least one value")
     ordered = sorted(float(v) for v in values)
     median = ordered[len(ordered) // 2]
     mad = sorted(abs(v - median) for v in ordered)[len(ordered) // 2]
-    return median, max(TRAJECTORY_REL_FLOOR * abs(median), TRAJECTORY_MAD_K * mad)
+    return median, max(rel_floor * abs(median), TRAJECTORY_MAD_K * mad)
 
 
 def check_against_trajectory(name: str, record: Dict, directions: Dict[str, str],
@@ -213,7 +219,9 @@ def check_against_trajectory(name: str, record: Dict, directions: Dict[str, str]
 
     ``directions`` maps field name to ``"higher"`` or ``"lower"`` — which
     way is *better*.  Checks are one-sided: a run that got faster always
-    passes.  History is restricted to records whose context fields
+    passes.  A direction with :data:`EXACT_SUFFIX` (``"lower-exact"``)
+    marks a deterministic count, gated without the relative floor.
+    History is restricted to records whose context fields
     (:data:`TRAJECTORY_CONTEXT_FIELDS`, e.g. ``cpus``) match the current
     run, because a 2-core run regressing against 8-core history is not a
     code regression.  Fewer than ``min_history`` comparable records yields
@@ -234,10 +242,13 @@ def check_against_trajectory(name: str, record: Dict, directions: Dict[str, str]
                for ctx in TRAJECTORY_CONTEXT_FIELDS)
     ]
     findings = []
-    for field, direction in sorted(directions.items()):
+    for field, declared in sorted(directions.items()):
+        exact = declared.endswith(EXACT_SUFFIX)
+        direction = declared[:-len(EXACT_SUFFIX)] if exact else declared
         if direction not in ("higher", "lower"):
             raise ValueError(f"direction for '{field}' must be 'higher' or "
-                             f"'lower', got {direction!r}")
+                             f"'lower', optionally with '{EXACT_SUFFIX}', "
+                             f"got {declared!r}")
         value = record.get(field)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             findings.append({"field": field, "status": "missing", "value": value,
@@ -251,7 +262,8 @@ def check_against_trajectory(name: str, record: Dict, directions: Dict[str, str]
                              "value": float(value), "median": None,
                              "tolerance": None, "history": len(past)})
             continue
-        median, tolerance = trajectory_band(past)
+        median, tolerance = trajectory_band(
+            past, rel_floor=0.0 if exact else TRAJECTORY_REL_FLOOR)
         if direction == "higher":
             regressed = float(value) < median - tolerance
         else:

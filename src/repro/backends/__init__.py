@@ -8,11 +8,11 @@ NumPy directly, so execution engines are swappable per compile:
 
 >>> from repro.inference import compile_model
 >>> compiled = compile_model(model, backend="threaded")   # all cores, exact
->>> quantized = compile_model(model, backend="int8")      # fast, approximate
 
 Registered engines live in :data:`BACKENDS`; ``repro list backends`` prints
-the table.  New engines subclass :class:`Backend`, override the primitives
-they accelerate and self-register:
+the table.  Every engine reproduces the reference bits.  New engines
+subclass :class:`Backend`, override the primitives they accelerate and
+self-register:
 
 >>> from repro.backends import Backend, register_backend
 >>> @register_backend
@@ -34,15 +34,12 @@ from .rates import KernelRates, measure_backend_rates
 # the registry is printed (CLI tables, help text, error messages).
 from .numpy_backend import NumpyBackend
 from .threaded import ThreadedBackend
-from .int8 import INT8_MAX, Int8Backend
 
 __all__ = [
     "BACKENDS",
     "Backend",
     "NumpyBackend",
     "ThreadedBackend",
-    "Int8Backend",
-    "INT8_MAX",
     "KernelRates",
     "measure_backend_rates",
     "backend_description",

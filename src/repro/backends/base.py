@@ -18,13 +18,12 @@ alone keeps reference numerics, so partial backends are always correct.
 
 Registered engines (see the sibling modules):
 
-========== ====== ======================================================
-name       exact  description
-========== ====== ======================================================
-numpy      yes    reference single-threaded NumPy (the eager numerics)
-threaded   yes    multi-threaded cache-blocked GEMM/im2col, probe-verified
-int8       no     dynamic int8 quantized execution (fixed-point scales)
-========== ====== ======================================================
+========== ======================================================
+name       description
+========== ======================================================
+numpy      reference single-threaded NumPy (the eager numerics)
+threaded   multi-threaded cache-blocked GEMM/im2col, probe-verified
+========== ======================================================
 """
 
 from __future__ import annotations
@@ -46,19 +45,17 @@ class Backend:
     The class doubles as the ``numpy`` reference backend: each method is the
     exact NumPy computation the eager forward performs, so a compiled model
     on the base backend is bit-identical to eager evaluation.  Subclasses
-    override individual primitives; ``exact`` declares whether every override
-    preserves reference bits (``threaded``) or trades accuracy for speed
-    (``int8``).
+    override individual primitives and must keep those bits: ``threaded``
+    proves each parallel route against the reference on probes and falls
+    back where the bits would differ.
 
     A fresh instance is created per :func:`~repro.inference.compile_model`
-    call (instances may cache per-weight state, e.g. quantized weights), so
-    backends must be cheap to construct.
+    call (instances may cache per-shape state, e.g. ``threaded``'s probe
+    verdicts), so backends must be cheap to construct.
     """
 
     #: registry key; subclasses must override.
     name = "numpy"
-    #: True when every primitive reproduces the eager float32 bits.
-    exact = True
 
     # ------------------------------------------------------------ buffers
     def make_pool(self):
@@ -153,7 +150,7 @@ class Backend:
         return measure_backend_rates(self, budget_ms=budget_ms, refresh=refresh)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r}, exact={self.exact})"
+        return f"{type(self).__name__}(name={self.name!r})"
 
 
 #: backend name -> Backend subclass.  Populated by :func:`register_backend`;

@@ -18,4 +18,3 @@ class NumpyBackend(Backend):
     """Reference single-threaded NumPy execution (bit-identical to eager)."""
 
     name = "numpy"
-    exact = True

@@ -61,7 +61,6 @@ class ThreadedBackend(Backend):
     """Multi-threaded cache-blocked GEMM/im2col; probe-verified, exact."""
 
     name = "threaded"
-    exact = True
 
     def __init__(self, num_threads: Optional[int] = None) -> None:
         if num_threads is None:

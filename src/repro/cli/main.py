@@ -13,7 +13,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from ..backends import BACKENDS, backend_description, backend_names
+from ..backends import backend_description, backend_names
 from ..experiment import (
     ARCHITECTURES,
     CALLBACKS,
@@ -271,9 +271,8 @@ def _list_protocols(args: argparse.Namespace) -> int:
 def _list_backends(args: argparse.Namespace) -> int:
     from ..inference.optimizer import OPT_LEVELS
 
-    rows = [[name, "yes" if cls.exact else "no", backend_description(name)]
-            for name, cls in BACKENDS.items()]
-    _print(format_table(["Backend", "Exact?", "Description"], rows,
+    rows = [[name, backend_description(name)] for name in backend_names()]
+    _print(format_table(["Backend", "Description"], rows,
                         title="Registered compute backends (compiled inference)"))
     _print(f"\ngraph-optimizer levels: {', '.join(OPT_LEVELS)} "
            f"(compile_model(optimize=...), default 'default')")
@@ -503,13 +502,12 @@ def _serve_config(args: argparse.Namespace):
             ("--truncation", args.truncation == "nearest"),
             ("--strategy", args.strategy is None),
             ("--triple-pool-depth", args.triple_pool_depth == 0),
-            ("--producer-workers", args.producer_workers == 0),
         ) if not untouched]
         if touched:
             raise CLIError(f"{', '.join(touched)} require(s) --secure")
     try:
         return ServeConfig(workers=args.workers, host=args.host, port=args.port,
-                           max_batch_size=args.max_batch_size, max_wait=args.max_wait,
+                           max_batch_size=args.max_batch_size,
                            queue_depth=args.queue_depth, watermark=args.watermark,
                            cache_size=args.cache_size, backend=args.backend,
                            latency_budget_ms=args.latency_budget_ms,
@@ -519,8 +517,7 @@ def _serve_config(args: argparse.Namespace):
                            truncation=args.truncation,
                            strategy=args.strategy or "",
                            triple_pool_depth=args.triple_pool_depth,
-                           pipeline_depth=args.pipeline_depth,
-                           producer_workers=args.producer_workers)
+                           pipeline_depth=args.pipeline_depth)
     except ValueError as error:
         raise CLIError(str(error)) from None
 
@@ -938,9 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8100,
                        help="TCP port for the HTTP front door (0 = OS-assigned)")
     serve.add_argument("--max-batch-size", type=int, default=8,
-                       help="micro-batch cap of each worker's predictor")
-    serve.add_argument("--max-wait", type=float, default=0.002,
-                       help="seconds each worker waits to fill a micro-batch")
+                       help="largest batch the pool cuts from its backlog for "
+                            "one worker")
     serve.add_argument("--queue-depth", type=int, default=32,
                        help="bound of each worker's request queue")
     serve.add_argument("--watermark", type=int, default=0,
@@ -967,9 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--triple-pool-depth", type=int, default=0,
                        help="offline pool depth in request quanta (0 = sized from "
                             "workers * max pipeline depth * max-batch-size)")
-    serve.add_argument("--producer-workers", type=int, default=0,
-                       help="offline-phase producer processes per triple pool "
-                            "(0 = in-process producer thread; requires --secure)")
     serve.add_argument("--self-test", type=int, default=None, metavar="N",
                        help="serve N synthetic requests against this server, verify "
                             "them bit-for-bit against the in-process predictor, then exit")

@@ -10,8 +10,8 @@ combination step into ``out=``-buffered element-wise kernels with a shared
 through the compiled path (:class:`BatchedPredictor`).
 
 Every numerical primitive the compiled steps execute dispatches through a
-pluggable compute backend (:mod:`repro.backends` — ``numpy``, ``threaded``,
-``int8``), and a graph optimizer rewrites each chain before lowering
+pluggable compute backend (:mod:`repro.backends` — ``numpy`` or
+``threaded``), and a graph optimizer rewrites each chain before lowering
 (dead-layer elimination, padding/BatchNorm folding) while a
 :class:`LifetimePlanner` shares pooled buffers across steps whose lifetimes
 provably never overlap.  ``compile_model(model, backend=..., optimize=...)``

@@ -29,9 +29,9 @@ Two orthogonal axes configure a compile:
   uses (GEMM, ``im2col``, grouped projections, the fused quadratic
   combination, pooling, element-wise glue) dispatches through one
   :class:`repro.backends.Backend` object, so
-  ``compile_model(model, backend="threaded")`` runs the same step list on
-  all cores and ``backend="int8"`` runs it quantized.  The default
-  ``numpy`` backend is the reference arithmetic.
+  ``compile_model(model, backend="threaded")`` runs the same step list,
+  with the same bits, on all cores.  The default ``numpy`` backend is the
+  reference arithmetic.
 * ``optimize`` — the graph level.  The lowering rewrites each chain with
   :func:`repro.inference.optimizer.optimize_plan` (dead-layer elimination,
   padding folding, BatchNorm constant folding; BN-into-conv at ``"full"``),
@@ -214,9 +214,9 @@ def compile_model(model: Module, pool: Optional[BufferPool] = None,
       statistics, exactly like their eager ``eval()`` forward).
 
       ``backend`` picks the execution engine by registry name
-      (:data:`repro.backends.BACKENDS`: ``"numpy"``, ``"threaded"``,
-      ``"int8"``), a pre-configured :class:`~repro.backends.Backend`
-      instance, or ``None`` for the reference engine.  ``optimize`` sets the
+      (:data:`repro.backends.BACKENDS`: ``"numpy"`` or ``"threaded"``), a
+      pre-configured :class:`~repro.backends.Backend` instance, or ``None``
+      for the reference engine.  ``optimize`` sets the
       graph-optimizer level (``"none"``/``"default"``/``"full"``, or
       ``True``/``False``; ``None`` means ``"default"``).
     * ``"ppml"`` — the secure-inference path: the same lowering, emitted as
@@ -339,6 +339,9 @@ def _compile_batchnorm(op: Op, build: _FloatBuild) -> Step:
         if module.affine:
             be.multiply(out, module.weight.data.reshape(shape), out=out)
             be.add(out, module.bias.data.reshape(shape), out=out)
+        else:
+            # Eager adds a zero bias, which turns -0.0 into +0.0.
+            be.add(out, np.float32(0.0), out=out)
         return out
 
     return batchnorm_step
@@ -367,6 +370,8 @@ def _compile_frozen_batchnorm(op: Op, build: _FloatBuild) -> Step:
         if gamma is not None:
             be.multiply(out, gamma, out=out)
             be.add(out, beta, out=out)
+        else:
+            be.add(out, np.float32(0.0), out=out)     # eager's zero bias
         return out
 
     return frozen_batchnorm_step

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..autodiff.tensor import Tensor
 from ..nn.module import Module
-from ..profiler.latency import median_runtime_ms
+from ..profiler.latency import paired_runtime_ms
 from .compiler import CompiledModel
 from .predictor import BatchedPredictor
 
@@ -45,7 +45,10 @@ def measure_serving(model: Module, compiled: CompiledModel, samples: np.ndarray,
     Returns a JSON-serializable dict with the correctness check
     (``max_abs_diff`` of compiled vs eager on one sample), the single-sample
     latency pair and speedup, and the micro-batched serving throughput over
-    all of ``samples``.  The eager model is measured in eval mode (and
+    all of ``samples``.  The two forwards are timed in alternation
+    (:func:`~repro.profiler.latency.paired_runtime_ms`): ``speedup`` is the
+    median of the per-pair eager/compiled ratios, and the per-side medians
+    ride along.  The eager model is measured in eval mode (and
     restored afterwards) — the comparison is against inference semantics, and
     a training-mode forward would corrupt BatchNorm running statistics as a
     side effect of measuring.
@@ -60,10 +63,9 @@ def measure_serving(model: Module, compiled: CompiledModel, samples: np.ndarray,
             compiled_out = compiled(single)
             diff = max_abs_diff(eager_out, compiled_out)
 
-            eager_ms = median_runtime_ms(lambda: model(Tensor(single)),
-                                         iterations=repeats)
-            compiled_ms = median_runtime_ms(lambda: compiled(single),
-                                            iterations=repeats)
+            eager_ms, compiled_ms, speedup = paired_runtime_ms(
+                lambda: model(Tensor(single)), lambda: compiled(single),
+                iterations=repeats)
 
             predictor = BatchedPredictor(compiled, max_batch_size=max_batch_size,
                                          max_wait=max_wait, autostart=False)
@@ -85,7 +87,7 @@ def measure_serving(model: Module, compiled: CompiledModel, samples: np.ndarray,
         "max_abs_diff": diff,
         "eager_ms_per_sample": eager_ms,
         "compiled_ms_per_sample": compiled_ms,
-        "speedup": eager_ms / compiled_ms if compiled_ms else None,
+        "speedup": speedup,
         "samples": int(len(samples)),
         "serve_seconds": elapsed,
         "throughput_samples_per_s": (len(samples) / elapsed if elapsed > 0

@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -61,8 +61,7 @@ def _generate_material(rng: np.random.Generator, budget: "OfflineBudget") -> Non
     Beaver triples are ``(a, b, a*b)`` over the int64 ring; garbled
     comparisons are costed as two 128-bit wire labels each.  The material
     is really generated — that is what makes ``refill_rps`` a measurement —
-    but per the package convention only counts are retained.  Shared by the
-    in-process producer thread and the spawned producer processes.
+    but per the package convention only counts are retained.
     """
     remaining = budget.triples
     while remaining > 0:
@@ -76,36 +75,6 @@ def _generate_material(rng: np.random.Generator, budget: "OfflineBudget") -> Non
         n = min(remaining, _CHUNK)
         _ = rng.bytes(n)                   # wire-label material
         remaining -= n
-
-
-def _producer_main(index: int, protocol: str, frac_bits: int, seed: int,
-                   budget_dict: Dict[str, int], order_conn, ack_conn) -> None:
-    """Entry point of one spawned producer process.
-
-    Top-level (not a closure) so it imports cleanly under ``spawn``.  The
-    protocol is dead simple: each ``True`` on the order pipe is an order for
-    one request quantum; every completed quantum is acknowledged on the
-    producer's acknowledgement pipe as ``(index, elapsed_seconds)``;
-    ``None`` (or the coordinator hanging up) means exit.  The producer
-    holds **no pool state** — received acknowledgements are the only thing
-    that increments ``produced``/``available``, which is what lets a
-    SIGKILLed producer die without breaking the accounting invariant.
-    """
-    rng = np.random.default_rng((int(seed), int(frac_bits), 1_000 + int(index)))
-    budget = OfflineBudget(**budget_dict)
-    while True:
-        try:
-            task = order_conn.recv()
-        except (EOFError, OSError):        # the coordinator went away
-            return
-        if task is None:
-            return
-        start = time.perf_counter()
-        _generate_material(rng, budget)
-        try:
-            ack_conn.send((index, time.perf_counter() - start))
-        except (BrokenPipeError, OSError):
-            return
 
 
 def pool_key(protocol: str, frac_bits: int) -> str:
@@ -173,42 +142,24 @@ class TriplePool:
     A pool starts *unsized* (no budget, no producer) so that an unstarted
     server can still report its full stats schema; :meth:`size` installs
     the warm-up budget and starts production.
-
-    ``producer_workers`` selects the production engine: ``0`` (default)
-    keeps the in-process producer *thread* — fine until generation is
-    CPU-bound on the GIL — while ``N >= 1`` promotes production to ``N``
-    spawn-based producer **processes**, fed one-quantum orders over
-    per-producer order pipes and acknowledged on per-producer
-    acknowledgement pipes.
-    Only a received acknowledgement increments ``produced``/``available``,
-    so the invariant survives a producer SIGKILL by construction: orders
-    that died with the producer were never counted, and the coordinator
-    respawns the producer and re-issues the deficit.
     """
 
     def __init__(self, protocol: str, frac_bits: int, *, depth: int = 0,
-                 seed: int = 0, producer_workers: int = 0) -> None:
+                 seed: int = 0) -> None:
         self.protocol = str(protocol)
         self.frac_bits = int(frac_bits)
         self.depth = int(depth)
-        self.producer_workers = int(producer_workers)
-        if self.producer_workers < 0:
-            raise ValueError(
-                f"producer_workers must be >= 0, got {producer_workers}")
         self.budget: Optional[OfflineBudget] = None
         self.available = 0
         self.produced = 0
         self.consumed = 0
         self.stalls = 0
-        self.producer_respawns = 0
         self._cond = threading.Condition()
         self._closed = False
         self._thread: Optional[threading.Thread] = None
-        self._seed = int(seed)
         self._rng = np.random.default_rng((int(seed), hash(self.protocol) & 0xFFFF,
                                            self.frac_bits))
         self._refill_rps = 0.0
-        self._producer_pids: Dict[int, int] = {}
 
     # ------------------------------------------------------------- lifecycle
     def size(self, budget: OfflineBudget, depth: int) -> None:
@@ -222,10 +173,8 @@ class TriplePool:
             self.budget = budget
             self.depth = int(depth)
             if self._thread is None:
-                target = (self._coordinate_producers if self.producer_workers
-                          else self._produce_loop)
                 self._thread = threading.Thread(
-                    target=target,
+                    target=self._produce_loop,
                     name=f"triples-{pool_key(self.protocol, self.frac_bits)}",
                     daemon=True)
                 self._thread.start()
@@ -296,18 +245,7 @@ class TriplePool:
                 "refill_rps": round(self._refill_rps, 3),
                 "triples_per_request": budget.triples if budget else 0,
                 "labels_per_request": budget.labels if budget else 0,
-                "producers": self.producer_workers,
-                "producer_respawns": self.producer_respawns,
             }
-
-    def producer_pids(self) -> List[int]:
-        """PIDs of the live producer processes (empty on the thread path).
-
-        For fault injection: tests SIGKILL one of these and assert the
-        accounting invariant and the respawn.
-        """
-        with self._cond:
-            return sorted(self._producer_pids.values())
 
     # -------------------------------------------------------------- producer
     def _produce_loop(self) -> None:
@@ -333,158 +271,6 @@ class TriplePool:
                                     + _RATE_ALPHA * rate)
                 self._cond.notify_all()
 
-    def _record_completion(self, elapsed: float, last_done: Optional[float],
-                           now: float) -> bool:
-        """Credit one acknowledged quantum; False when the pool has closed.
-
-        On the multi-producer path the refill rate is measured from the
-        *inter-completion gap* (completions interleave across producers, so
-        per-quantum generation time would undercount the fleet's throughput);
-        the very first completion falls back to its own generation time.
-        """
-        if last_done is not None:
-            rate = 1.0 / max(now - last_done, 1e-9)
-        else:
-            rate = 1.0 / max(elapsed, 1e-9)
-        with self._cond:
-            if self._closed:
-                return False
-            self.available += 1
-            self.produced += 1
-            self._refill_rps = (rate if self._refill_rps == 0.0 else
-                                (1.0 - _RATE_ALPHA) * self._refill_rps
-                                + _RATE_ALPHA * rate)
-            self._cond.notify_all()
-        return True
-
-    def _coordinate_producers(self) -> None:
-        """Feed/reap the spawned producer fleet (``producer_workers >= 1``).
-
-        Runs on the pool's background thread.  Per producer: one spawned
-        process, an order pipe, an acknowledgement pipe, and an
-        outstanding-order count.  Deficit is ``depth - available -
-        outstanding``; orders go to the least-loaded producer.  A producer
-        found dead (SIGKILL) forfeits its outstanding orders — they were
-        never credited, so the invariant holds — and is respawned; the
-        deficit re-issue happens on the same tick.
-
-        Raw ``Pipe`` connections rather than ``multiprocessing.Queue``:
-        a ``Connection.send`` is synchronous (no feeder thread to lose an
-        order between buffer and pipe), a SIGKILLed producer holds no
-        parent-side locks, and closing the parent's copy of the child ends
-        makes a dead producer's acknowledgement pipe report EOF instead of
-        hanging.
-        """
-        import multiprocessing
-        from multiprocessing import connection as mp_connection
-
-        ctx = multiprocessing.get_context("spawn")
-        #: index -> [process, order_send, ack_recv, outstanding]
-        workers: Dict[int, list] = {}
-        spawned_budget: Optional[OfflineBudget] = None
-        last_done: Optional[float] = None
-
-        def spawn(index: int) -> None:
-            order_recv, order_send = ctx.Pipe(duplex=False)
-            ack_recv, ack_send = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_producer_main,
-                args=(index, self.protocol, self.frac_bits,
-                      self._seed, spawned_budget.to_dict(),
-                      order_recv, ack_send),
-                daemon=True,
-                name=(f"triples-producer-"
-                      f"{pool_key(self.protocol, self.frac_bits)}-{index}"))
-            process.start()
-            # The child's ends were dup'd into it at spawn; dropping the
-            # parent's copies is what turns a dead producer into EOF.
-            order_recv.close()
-            ack_send.close()
-            workers[index] = [process, order_send, ack_recv, 0]
-            with self._cond:
-                self._producer_pids[index] = process.pid
-
-        def discard(record: list) -> None:
-            for conn in (record[1], record[2]):
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-
-        def stop_all(timeout: float = 2.0) -> None:
-            for record in workers.values():
-                try:
-                    record[1].send(None)
-                except Exception:
-                    pass
-            for record in workers.values():
-                record[0].join(timeout)
-                if record[0].is_alive():
-                    record[0].terminate()
-                    record[0].join(1.0)
-                discard(record)
-            workers.clear()
-            with self._cond:
-                self._producer_pids.clear()
-
-        try:
-            while True:
-                with self._cond:
-                    if self._closed:
-                        return
-                    budget = self.budget
-                if budget is None:
-                    time.sleep(0.01)
-                    continue
-                if budget != spawned_budget:
-                    # First sizing, or a re-size changed the per-request
-                    # budget: the fleet bakes the budget in at spawn time,
-                    # so replace it wholesale.
-                    stop_all()
-                    spawned_budget = budget
-                    for index in range(self.producer_workers):
-                        spawn(index)
-                    last_done = None
-                # Liveness: a SIGKILLed producer forfeits its outstanding
-                # orders (never credited — invariant safe) and is replaced.
-                for index, record in list(workers.items()):
-                    if not record[0].is_alive():
-                        discard(record)
-                        workers.pop(index)
-                        with self._cond:
-                            self.producer_respawns += 1
-                            self._producer_pids.pop(index, None)
-                        spawn(index)
-                # Top up: order the deficit from the least-loaded producers.
-                with self._cond:
-                    outstanding = sum(record[3] for record in workers.values())
-                    deficit = self.depth - self.available - outstanding
-                for _ in range(max(deficit, 0)):
-                    record = min(workers.values(), key=lambda rec: rec[3])
-                    try:
-                        record[1].send(True)
-                        record[3] += 1
-                    except Exception:
-                        break                # dying producer; next tick respawns
-                # Reap acknowledgements (bounded wait keeps the loop live).
-                by_conn = {id(record[2]): record for record in workers.values()}
-                ready = mp_connection.wait(
-                    [record[2] for record in workers.values()], timeout=0.05)
-                for conn in ready:
-                    try:
-                        index, elapsed = conn.recv()
-                    except (EOFError, OSError):
-                        continue             # died mid-ack; liveness handles it
-                    record = by_conn.get(id(conn))
-                    if record is not None and record[3] > 0:
-                        record[3] -= 1
-                    now = time.perf_counter()
-                    if not self._record_completion(elapsed, last_done, now):
-                        return
-                    last_done = now
-        finally:
-            stop_all()
-
 
 class OfflinePhase:
     """Coordinator between the offline producers and the serving pool.
@@ -497,13 +283,12 @@ class OfflinePhase:
     """
 
     def __init__(self, protocol: str, frac_bits: int, truncation: str, *,
-                 depth: int, seed: int = 0, producer_workers: int = 0) -> None:
+                 depth: int, seed: int = 0) -> None:
         self.protocol = str(protocol)
         self.frac_bits = int(frac_bits)
         self.truncation = str(truncation)
         self.depth = int(depth)
         self.seed = int(seed)
-        self.producer_workers = int(producer_workers)
         self.budget: Optional[OfflineBudget] = None
         self._lock = threading.Lock()
         self._pools: Dict[str, TriplePool] = {}
@@ -512,8 +297,7 @@ class OfflinePhase:
         # The default pool exists from construction so an unstarted server
         # reports the full stats schema (the docs drift test relies on it).
         self._pools[self.default_key] = TriplePool(
-            self.protocol, self.frac_bits, seed=seed,
-            producer_workers=self.producer_workers)
+            self.protocol, self.frac_bits, seed=seed)
 
     # ------------------------------------------------------------------ keys
     @property
@@ -534,8 +318,7 @@ class OfflinePhase:
             pool = self._pools.get(key)
             if pool is None:
                 protocol, _, bits = key.partition("/f")
-                pool = TriplePool(protocol, int(bits), seed=self.seed,
-                                  producer_workers=self.producer_workers)
+                pool = TriplePool(protocol, int(bits), seed=self.seed)
                 self._pools[key] = pool
                 if self.budget is not None:
                     pool.size(self.budget, self.depth)

@@ -44,9 +44,9 @@ def _median_ms(samples) -> float:
 def median_runtime_ms(fn, warmup: int = 1, iterations: int = 3) -> float:
     """Median wall-clock milliseconds of ``fn()`` over ``iterations`` runs.
 
-    The shared timing primitive behind :func:`profile_latency`, the
-    ``repro infer`` CLI and the inference benchmark — one definition so the
-    three surfaces always measure the same way.
+    The shared timing primitive behind :func:`profile_latency` and the
+    inference benchmark's batch sweep.  Two callables compared against each
+    other are timed by :func:`paired_runtime_ms` instead.
     """
     samples = []
     for i in range(warmup + iterations):
@@ -56,6 +56,30 @@ def median_runtime_ms(fn, warmup: int = 1, iterations: int = 3) -> float:
         if i >= warmup:
             samples.append(elapsed)
     return _median_ms(samples)
+
+
+def paired_runtime_ms(first, second, warmup: int = 1,
+                      iterations: int = 3) -> Tuple[float, float, float]:
+    """Time ``first()`` and ``second()`` in alternation, on the same footing.
+
+    Each of ``iterations`` pairs runs both once, the order flipping from
+    pair to pair, so a slow or quick spell of the host lands on both sides
+    of the pairs it spans instead of on one side's whole timing loop.
+    Returns ``(first_ms, second_ms, ratio)``: each side's median
+    milliseconds and the median of the per-pair ``first / second`` ratios.
+    """
+    fns = (first, second)
+    pairs = []
+    for i in range(warmup + iterations):
+        pair = [0.0, 0.0]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            fns[side]()
+            pair[side] = time.perf_counter() - start
+        if i >= warmup:
+            pairs.append(pair)
+    firsts, seconds = np.asarray(pairs).T
+    return _median_ms(firsts), _median_ms(seconds), float(np.median(firsts / seconds))
 
 
 def profile_latency(model: Module, input_shape: Tuple[int, int, int], batch_size: int = 8,

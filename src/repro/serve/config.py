@@ -59,9 +59,9 @@ class ServeConfig:
         Entries in the front door's LRU response cache (``0`` disables it).
     backend : str
         Compute backend each worker compiles its model with (a
-        :mod:`repro.backends` registry name: ``numpy``, ``threaded``,
-        ``int8``).  The default is the reference engine; ``threaded`` makes
-        each worker use every core, so pair it with a small ``workers``.
+        :mod:`repro.backends` registry name: ``numpy`` or ``threaded``).
+        The default is the reference engine; ``threaded`` makes each worker
+        use every core, so pair it with a small ``workers``.
     latency_budget_ms : float
         Admission-control budget: reject a request (HTTP ``429`` with
         ``Retry-After``) when its estimated queue wait exceeds this many
@@ -105,11 +105,6 @@ class ServeConfig:
         within [:data:`~repro.serve.batching.MIN_PIPELINE_DEPTH`,
         :data:`~repro.serve.batching.MAX_PIPELINE_DEPTH`] from measured
         stage percentiles; a non-zero value pins it.
-    producer_workers : int
-        Offline-phase producer *processes* per triple pool (secure serving
-        only).  ``0`` (default) keeps the in-process producer thread —
-        fine until refill is CPU-bound on the GIL; ``N >= 1`` spawns N
-        generator processes per pool.
     """
 
     workers: int = 2
@@ -136,7 +131,6 @@ class ServeConfig:
     strategy: str = ""
     triple_pool_depth: int = 0
     pipeline_depth: int = 0
-    producer_workers: int = 0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -210,9 +204,6 @@ class ServeConfig:
         if self.pipeline_depth < 0:
             raise ValueError(f"pipeline_depth must be >= 0 (0 = adaptive), "
                              f"got {self.pipeline_depth}")
-        if self.producer_workers < 0:
-            raise ValueError(f"producer_workers must be >= 0 (0 = thread), "
-                             f"got {self.producer_workers}")
 
     @property
     def effective_watermark(self) -> int:

@@ -298,8 +298,7 @@ class WorkerPool:
             self.offline = OfflinePhase(
                 protocol, self.config.frac_bits, self.config.truncation,
                 depth=self.config.effective_triple_pool_depth,
-                seed=parsed.seed,
-                producer_workers=self.config.producer_workers)
+                seed=parsed.seed)
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> "WorkerPool":

@@ -179,6 +179,23 @@ class TestRegressionBands:
             history=history("p99", self.P99S, cpus=8))
         assert [f["status"] for f in findings] == ["insufficient-history"]
 
+    @pytest.mark.parametrize("value, direction, status", [
+        (130.0, "lower", "ok"),                # inside the 35% relative floor
+        (130.0, "lower-exact", "regression"),  # a deterministic count: no floor
+        (70.0, "lower-exact", "ok"),           # still one-sided
+    ])
+    def test_exact_fields_get_no_relative_floor(self, value, direction, status):
+        findings = check_against_trajectory(
+            "bench", {"bytes": value}, {"bytes": direction},
+            history=history("bytes", [100.0] * 5))
+        assert [f["status"] for f in findings] == [status]
+
+    def test_unknown_direction_is_refused(self):
+        with pytest.raises(ValueError, match="direction"):
+            check_against_trajectory("bench", {"bytes": 1.0},
+                                     {"bytes": "exact"},
+                                     history=history("bytes", [1.0] * 5))
+
     def test_noisy_history_earns_a_wider_band_via_mad(self):
         quiet = trajectory_band([100.0, 100.0, 100.0, 100.0, 100.0])
         noisy = trajectory_band([60.0, 140.0, 100.0, 150.0, 55.0])
@@ -208,6 +225,18 @@ class TestGateScript:
         self.seed([10.0, 10.4, 9.8, 10.1], latest=10.2)
         assert check_trajectory.main() == 0
         assert "trajectory gate: PASS" in capsys.readouterr().out
+
+    def test_gate_fails_on_a_30_percent_rise_in_an_exact_byte_count(
+            self, results_dir, capsys):
+        record = {"default_peak_bytes": 25_555_136,
+                  "hybrid_peak_bytes": 11_923_648}
+        for _ in range(5):
+            append_trajectory("fig8_hybrid_bp", record)
+        append_trajectory("fig8_hybrid_bp",
+                          {**record, "default_peak_bytes": 33_221_677})
+        assert check_trajectory.main() == 1
+        out = capsys.readouterr().out
+        assert "FAIL: 1 " in out and "default_peak_bytes" in out
 
     def test_gate_passes_a_fresh_checkout_with_no_history(self, results_dir, capsys):
         assert check_trajectory.main() == 0

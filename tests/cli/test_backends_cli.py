@@ -2,7 +2,7 @@
 
 Same discipline as the ``repro list`` families: every flag default, help
 string, error message and table that mentions backends is *generated from*
-:data:`repro.backends.BACKENDS`, so registering a fourth engine updates all
+:data:`repro.backends.BACKENDS`, so registering another engine updates all
 of them at once.  These tests pin that property — they iterate the registry,
 never a hard-coded name list.
 """
@@ -43,7 +43,6 @@ def test_list_backends_prints_every_registered_engine(capsys):
     for name in backend_names():
         assert name in out
         assert backend_description(name) in out
-    assert "yes" in out and "no" in out  # the exactness column is honest
 
 
 @pytest.mark.parametrize("command", ["infer", "serve", "profile"])
@@ -107,8 +106,8 @@ def test_infer_rejects_unknown_optimize_level(capsys):
 
 def test_infer_table_shows_backend(capsys):
     out = run(["infer", "smoke", "--samples", "4", "--repeats", "1",
-               "--backend", "int8"], capsys)
-    assert "int8" in out
+               "--backend", "threaded"], capsys)
+    assert "threaded" in out
     assert "optimizer rewrites" in out
 
 

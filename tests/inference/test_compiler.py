@@ -74,6 +74,21 @@ class TestLayerRules:
         # ... and the compiler flags the batch dependence for the predictor.
         assert len(compiled.batch_dependent_modules) == 1
 
+    @pytest.mark.parametrize("optimize", ["none", "default"])
+    @pytest.mark.parametrize("track_running_stats", [True, False])
+    @pytest.mark.parametrize("fill", ["negative_zero", "random"])
+    def test_non_affine_batchnorm_matches_eager_bytes(self, optimize,
+                                                      track_running_stats, fill):
+        # Eager adds a zero bias, turning -0.0 into +0.0; so must the
+        # compiled step, live ("none") and frozen ("default").
+        model = nn.Sequential(nn.BatchNorm2d(
+            2, affine=False, track_running_stats=track_running_stats))
+        x = (np.full((2, 2, 2, 1), -0.0, dtype=np.float32) if fill == "negative_zero"
+             else RNG.standard_normal((2, 2, 2, 1)).astype(np.float32))
+        expected = eager(model, x)
+        actual = compile_model(model, optimize=optimize)(x)
+        assert actual.tobytes() == expected.tobytes()
+
     def test_running_stats_batchnorm_is_not_flagged_batch_dependent(self):
         model = nn.Sequential(nn.BatchNorm1d(6))
         compiled = compile_model(model)

@@ -55,8 +55,7 @@ def test_unsized_pool_reports_full_schema_without_producing():
     stats = pool.stats()
     assert set(stats) == {"depth", "available", "produced", "consumed",
                           "stalls", "refill_rps", "triples_per_request",
-                          "labels_per_request", "producers",
-                          "producer_respawns"}
+                          "labels_per_request"}
     assert stats["available"] == 0 and stats["produced"] == 0
     pool.close()
 
@@ -207,53 +206,3 @@ def test_phase_key_helpers():
     assert phase.key_for() == "delphi/f12"
     assert phase.key_for(protocol="gazelle", frac_bits=8) == "gazelle/f8"
     phase.close()
-
-
-# --------------------------------------------------------------------------- #
-# Producer processes (producer_workers >= 1)
-# --------------------------------------------------------------------------- #
-
-def test_process_producers_fill_to_depth_without_overshoot():
-    pool = TriplePool("delphi", 12, producer_workers=2)
-    try:
-        pool.size(TINY, depth=4)
-        assert pool.wait_available(4, timeout=120.0)
-        stats = pool.stats()
-        assert stats["available"] == 4
-        assert stats["produced"] == 4            # acknowledged orders only
-        assert stats["producers"] == 2
-        assert stats["produced"] == stats["available"] + stats["consumed"]
-        assert len(pool.producer_pids()) == 2
-    finally:
-        pool.close()
-
-
-def test_sigkill_producer_preserves_invariant_and_respawns():
-    import os
-    import signal
-    import time
-
-    pool = TriplePool("delphi", 12, producer_workers=1)
-    try:
-        pool.size(TINY, depth=2)
-        assert pool.wait_available(2, timeout=120.0)
-        victims = pool.producer_pids()
-        assert victims
-        os.kill(victims[0], signal.SIGKILL)
-        # Drain the stock so the coordinator must route fresh orders through
-        # a respawned producer.
-        pool.consume(2)
-        assert pool.wait_available(2, timeout=120.0)
-        deadline = time.monotonic() + 60.0
-        while (pool.stats()["producer_respawns"] < 1
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        stats = pool.stats()
-        # The invariant holds by construction: orders that died with the
-        # producer were never acknowledged, so they were never counted.
-        assert stats["produced"] == stats["available"] + stats["consumed"]
-        assert stats["producer_respawns"] >= 1
-        survivors = pool.producer_pids()
-        assert survivors and survivors[0] != victims[0]
-    finally:
-        pool.close()

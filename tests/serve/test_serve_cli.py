@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import __version__
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestServeSelfTest:
@@ -46,6 +46,16 @@ class TestServeSelfTest:
         err = capsys.readouterr().err
         assert exit_code == 2
         assert err.startswith("error:") and "workers" in err
+
+    @pytest.mark.parametrize("flag", ["--max-wait", "--producer-workers"])
+    def test_serve_rejects_retired_flags(self, capsys, flag):
+        # The pool never waits on a timer and produces offline material on
+        # one thread per triple pool, so neither flag has anything to set.
+        # Parsed only: a serve command that parsed would start serving.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "smoke", flag, "1"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_serve_rejects_zero_self_test_requests(self, capsys):
         exit_code = main(["serve", "smoke", "--self-test", "0"])
