@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from common import WIDTH, fresh_seed, quick_mode, save_experiment
+from common import WIDTH, append_trajectory, fresh_seed, quick_mode, save_experiment
 
 from repro.backends import ThreadedBackend, backend_names
 from repro.experiment import ModelSpec
@@ -128,6 +128,17 @@ def main() -> None:
         "speedup_enforced": enforce,
         "min_speedup": MIN_SPEEDUP,
         "models": results,
+    })
+    # The first model (vgg8, the one quick mode runs) is the headline.
+    headline = results[0]
+    append_trajectory("backend_throughput", {
+        "quick_mode": quick,
+        "cpus": cores,
+        "batch": batch,
+        "model": headline["model"],
+        "armed": enforce,
+        **{f"{backend}_samples_per_s": entry["samples_per_s"]
+           for backend, entry in headline["backends"].items()},
     })
 
     if enforce:

@@ -51,6 +51,10 @@ DIRECTIONS = {
     "inference_throughput": {
         "speedup": "higher",
     },
+    "backend_throughput": {
+        "numpy_samples_per_s": "higher",
+        "threaded_samples_per_s": "higher",
+    },
     "fig8_hybrid_bp": {
         "default_peak_bytes": "lower-exact",
         "hybrid_peak_bytes": "lower-exact",

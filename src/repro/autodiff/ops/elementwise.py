@@ -6,6 +6,8 @@ operand shapes with :func:`repro.autodiff.function.unbroadcast`.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..function import Context, Function, unbroadcast
@@ -175,14 +177,28 @@ class Abs(Function):
         return (grad * sign,)
 
 
+def relu(a: np.ndarray, out: Optional[np.ndarray] = None, ops=np) -> np.ndarray:
+    """``max(a, 0)`` with one answer on every platform: the ReLU kernel.
+
+    Every ``a <= 0``, ``-inf`` and ``-0.0`` included, gives ``+0.0``, and NaN
+    stays NaN.  ``np.maximum``'s pick between a tied ``-0.0`` and ``+0.0``
+    is the platform's (and may differ between its vector body and scalar
+    tail), so the result then adds ``+0.0``, which turns ``-0.0`` into
+    ``+0.0`` and leaves every other value as it is.  The eager node and the
+    compiled step both call it; ``ops`` supplies ``maximum``/``add``.
+    """
+    zero = np.zeros((), dtype=a.dtype)
+    out = ops.maximum(a, zero, out=out)
+    return ops.add(out, zero, out=out)
+
+
 class ReLU(Function):
-    """Rectified linear unit: ``out = max(a, 0)``."""
+    """Rectified linear unit: ``out = max(a, 0)`` (see :func:`relu`)."""
 
     @staticmethod
     def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        mask = a > 0
-        ctx.save_for_backward(mask)
-        return a * mask
+        ctx.save_for_backward(a > 0)
+        return relu(a)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):

@@ -34,8 +34,7 @@ import numpy as np
 
 from ..autodiff.function import Context
 from ..autodiff.ops import conv as conv_ops
-from ..autodiff.ops.conv import _pair, window_max
-from ..autodiff.ops.conv import im2col as _im2col
+from ..autodiff.ops.conv import _pair, lower_columns, window_max
 from ..quadratic.functional import FUSED_COMBINERS
 
 
@@ -85,18 +84,23 @@ class Backend:
 
     # ----------------------------------------------------------- convolution
     def im2col(self, x: np.ndarray, kh: int, kw: int,
-               stride: Tuple[int, int], padding: Tuple[int, int],
+               stride: Tuple[int, int], padding: Tuple[int, int], groups: int = 1,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Lower input patches to columns (strided copies, no arithmetic)."""
-        return _im2col(x, kh, kw, stride, padding, out=out)
+        """Lower ``x`` (N, C, H, W) to (G, C/G·kh·kw, OH·OW·N) columns.
+
+        The eager convolution's lowering
+        (:func:`~repro.autodiff.ops.conv.lower_columns`): strided copies,
+        no arithmetic.
+        """
+        return lower_columns(x, kh, kw, stride, padding, groups, out=out)
 
     def conv_project(self, cols: np.ndarray, wmat: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
         """One grouped-conv projection on pre-lowered columns.
 
-        ``(G, Fg, K) @ (N, G, K, OH·OW) -> (N, G, Fg, OH·OW)``: the one
-        ``np.matmul`` the eager convolution (``conv2d_raw``) runs, so the
-        compiled projection shares its bits.
+        ``(G, Fg, K) @ (G, K, OH·OW·N) -> (G, Fg, OH·OW·N)``: one GEMM per
+        group over the whole batch, the ``np.matmul`` the eager convolution
+        (``conv2d_rows``) runs, so the compiled projection shares its bits.
         """
         return np.matmul(wmat, cols, out=out)
 

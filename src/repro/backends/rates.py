@@ -177,16 +177,15 @@ def _probe_conv(backend, budget_s: float) -> float:
         x = rng.standard_normal((n, c, h, h)).astype(np.float32)
         wmats = [rng.standard_normal((1, f, patch)).astype(np.float32)
                  for _ in range(n_sets)]
-        outs = [np.empty((n, 1, f, h * h), dtype=np.float32)
+        outs = [np.empty((1, f, h * h * n), dtype=np.float32)
                 for _ in range(n_sets)]
-        combined = np.empty((n, 1, f, h * h), dtype=np.float32)
-        stages.append((x, patch, h, wmats, outs, combined))
+        combined = np.empty((1, f, h * h * n), dtype=np.float32)
+        stages.append((x, wmats, outs, combined))
         macs += n * (n_sets * f * patch + 2 * f) * h * h
 
     def step() -> None:
-        for x, patch, h, wmats, outs, combined in stages:
+        for x, wmats, outs, combined in stages:
             cols = backend.im2col(x, kh, kw, (1, 1), (1, 1))
-            cols = cols.reshape(n, 1, patch, h * h)
             for wmat, out in zip(wmats, outs):
                 backend.conv_project(cols, wmat, out)
             backend.multiply(outs[0], outs[1], out=combined)

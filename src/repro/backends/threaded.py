@@ -6,17 +6,18 @@ operation scales with cores without any native code.  The backend blocks
 each primitive into per-thread panels sized to stay cache-resident and runs
 the panels on a shared :class:`~concurrent.futures.ThreadPoolExecutor`:
 
-* ``im2col`` splits the batch axis — each sample's patch gather writes a
-  disjoint slice of the column buffer, a pure copy, so the result is
-  trivially bit-identical at any thread count.
-* ``conv_project`` / ``gemm`` split the batch (or the output) axis into
-  blocks.  Each block runs the *reference* ``np.matmul`` on its slice, so
-  the per-element reduction order can only change if BLAS picks a different
-  kernel for the smaller operand — which depends on shapes alone, never on
-  values.  The first call per shape therefore compares the blocked route
-  against the reference route on dense random probes and caches the verdict:
-  blocked where it provably matches the single-threaded bits, reference
-  fall-back everywhere else.  The ``threaded`` backend is consequently
+* ``im2col`` splits the channel axis of a batch's (C·kh·kw, OH·OW·N)
+  columns — each channel's patch gather writes a disjoint slice of the
+  column buffer, a pure copy, so the result is trivially bit-identical at
+  any thread count.
+* ``conv_project`` splits the column axis (output pixels × batch) and
+  ``gemm`` the row axis into blocks.  Each block runs the *reference*
+  ``np.matmul`` on its slice, so the per-element reduction order can only
+  change if BLAS picks a different kernel for the smaller operand — which
+  depends on shapes alone, never on values.  The first call per shape
+  therefore compares the blocked route against the reference route on
+  dense random probes and caches the verdict: blocked where it provably
+  matches the single-threaded bits, reference fall-back everywhere else.  The ``threaded`` backend is consequently
   **exact by construction at any core count** — the worst case is "no
   speedup", never "different bits".
 
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
+from ..autodiff.ops.conv import even_spans
 from .base import Backend, register_backend
 
 #: Skip threading below this many output elements — executor dispatch costs
@@ -42,18 +44,6 @@ MIN_PARALLEL_ELEMS = 1 << 14
 #: Target bytes per blocked panel (operand slice + output slice), chosen to
 #: sit inside a typical per-core L2 so each thread streams its panel once.
 PANEL_BYTES = 512 * 1024
-
-
-def _spans(size: int, chunks: int) -> List[Tuple[int, int]]:
-    """Split ``range(size)`` into ``chunks`` near-equal contiguous spans."""
-    chunks = max(1, min(int(chunks), int(size)))
-    step, extra = divmod(size, chunks)
-    spans, start = [], 0
-    for i in range(chunks):
-        stop = start + step + (1 if i < extra else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
 
 
 @register_backend
@@ -105,7 +95,7 @@ class ThreadedBackend(Backend):
             self._routes[key] = blocked
         if not blocked:
             return super().gemm(x, weight_t, out=out)
-        spans = _spans(m, chunks)
+        spans = even_spans(m, chunks)
         self._run([lambda a=a, b=b: np.matmul(x[a:b], weight_t, out=out[a:b])
                    for a, b in spans])
         return out
@@ -116,59 +106,55 @@ class ThreadedBackend(Backend):
         pw = rng.standard_normal(weight_t.shape).astype(np.float32)
         reference = px @ pw
         blocked = np.empty_like(reference)
-        for a, b in _spans(x_shape[0], chunks):
+        for a, b in even_spans(x_shape[0], chunks):
             np.matmul(px[a:b], pw, out=blocked[a:b])
         return bool(np.array_equal(reference, blocked))
 
     # ----------------------------------------------------------- convolution
-    def im2col(self, x: np.ndarray, kh: int, kw: int, stride, padding,
+    def im2col(self, x: np.ndarray, kh: int, kw: int, stride, padding, groups: int = 1,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        n = x.shape[0]
+        n, c = x.shape[:2]
+        # Single samples (every exact-mode serving forward) stay on the
+        # calling thread.
         if out is None or n < 2 or out.size < MIN_PARALLEL_ELEMS:
-            return super().im2col(x, kh, kw, stride, padding, out=out)
-        # Disjoint per-sample slices of the column buffer: a pure strided
-        # copy, bit-identical by construction at any thread count.
-        spans = _spans(n, self._chunks(n, out.size))
+            return super().im2col(x, kh, kw, stride, padding, groups, out=out)
+        # Disjoint channel slices of the column buffer (channels are its
+        # outermost axis): a pure strided copy, bit-identical by
+        # construction at any thread count.
+        spans = even_spans(c, self._chunks(c, out.size))
         if len(spans) <= 1:
-            return super().im2col(x, kh, kw, stride, padding, out=out)
+            return super().im2col(x, kh, kw, stride, padding, groups, out=out)
+        per_channel = out.reshape(c, -1)
         parent = super().im2col
-        self._run([lambda a=a, b=b: parent(x[a:b], kh, kw, stride, padding,
-                                           out=out[a:b])
+        self._run([lambda a=a, b=b: parent(x[:, a:b], kh, kw, stride, padding, 1,
+                                           out=per_channel[a:b])
                    for a, b in spans])
-        return out
+        return out.reshape(groups, (c // groups) * kh * kw, -1)
 
     def conv_project(self, cols: np.ndarray, wmat: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-        n = cols.shape[0]
         if out.size * wmat.shape[-1] < MIN_PARALLEL_ELEMS:
             return super().conv_project(cols, wmat, out)
-        # Prefer batch blocking (NumPy's batched matmul runs one BLAS call
-        # per sample anyway, so per-sample slices reuse identical kernels);
-        # fall back to blocking the output-pixel axis for single samples.
-        axis = 0 if n >= 2 else 3
-        axis_size = cols.shape[axis]
-        chunks = self._chunks(axis_size, cols.size + out.size)
+        # Block the column axis (output pixels × batch): each block runs the
+        # reference np.matmul on its slice, which is exact wherever BLAS
+        # picks the same kernel for the narrower operand — the probe decides.
+        width = cols.shape[-1]
+        chunks = self._chunks(width, cols.size + out.size)
         if chunks <= 1:
             return super().conv_project(cols, wmat, out)
-        key = ("conv", wmat.shape, cols.shape, axis, chunks)
+        key = ("conv", wmat.shape, cols.shape, chunks)
         blocked = self._routes.get(key)
         if blocked is None:
-            blocked = self._probe_conv(cols.shape, wmat.shape, axis, chunks)
+            blocked = self._probe_conv(cols.shape, wmat.shape, chunks)
             self._routes[key] = blocked
         if not blocked:
             return super().conv_project(cols, wmat, out)
         parent = super().conv_project
-        spans = _spans(axis_size, chunks)
-        if axis == 0:
-            tasks = [lambda a=a, b=b: parent(cols[a:b], wmat, out[a:b])
-                     for a, b in spans]
-        else:
-            tasks = [lambda a=a, b=b: parent(cols[..., a:b], wmat, out[..., a:b])
-                     for a, b in spans]
-        self._run(tasks)
+        self._run([lambda a=a, b=b: parent(cols[..., a:b], wmat, out[..., a:b])
+                   for a, b in even_spans(width, chunks)])
         return out
 
-    def _probe_conv(self, cols_shape, wmat_shape, axis: int, chunks: int) -> bool:
+    def _probe_conv(self, cols_shape, wmat_shape, chunks: int) -> bool:
         """Blocked-vs-reference comparison on dense random probes.
 
         Runs the blocks *serially* — the verdict is about BLAS kernel choice
@@ -177,13 +163,9 @@ class ThreadedBackend(Backend):
         rng = np.random.default_rng(0)
         pc = rng.standard_normal(cols_shape).astype(np.float32)
         pw = rng.standard_normal(wmat_shape).astype(np.float32)
-        n, g = cols_shape[0], cols_shape[1]
-        out_shape = (n, g, wmat_shape[1], cols_shape[3])
+        out_shape = (cols_shape[0], wmat_shape[1], cols_shape[-1])
         reference = super().conv_project(pc, pw, np.empty(out_shape, np.float32))
         blocked = np.empty(out_shape, np.float32)
-        for a, b in _spans(cols_shape[axis], chunks):
-            if axis == 0:
-                super().conv_project(pc[a:b], pw, blocked[a:b])
-            else:
-                super().conv_project(pc[..., a:b], pw, blocked[..., a:b])
+        for a, b in even_spans(cols_shape[-1], chunks):
+            super().conv_project(pc[..., a:b], pw, blocked[..., a:b])
         return bool(np.array_equal(reference, blocked))

@@ -224,6 +224,10 @@ _register_zoo_models()
 # Datasets: ``factory(DataSpec, train) -> Dataset``.
 # --------------------------------------------------------------------------- #
 
+#: Toy datasets of labelled 2-D points (``DataSpec.input_shape`` is ``(2,)``).
+POINT_DATASETS = ("xor", "circle")
+
+
 def _register_datasets() -> None:
     from ..data.dataset import TensorDataset
     from ..data.synthetic import SyntheticImageClassification

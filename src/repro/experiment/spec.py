@@ -172,6 +172,9 @@ class DataSpec(_SpecBase):
 
     @property
     def input_shape(self):
+        """One sample's shape: a 2-D point for the toy datasets, else C×H×W."""
+        if self.name in reg.POINT_DATASETS:
+            return (2,)
         return (self.channels, self.image_size, self.image_size)
 
 

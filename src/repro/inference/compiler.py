@@ -51,13 +51,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..autodiff.grad_mode import inference_mode
-from ..autodiff.ops.conv import _pair, conv_output_size
+from ..autodiff.ops.conv import _pair, conv_output_size, rows_to_image
+from ..autodiff.ops.elementwise import relu
 from ..autodiff.ops.norm import stat_axes
 from ..autodiff.tensor import Tensor
 from ..backends import Backend, get_backend
 from ..nn.layers.normalization import _BatchNorm
 from ..nn.module import Module
-from ..quadratic.functional import REQUIRED_RESPONSES
+from ..quadratic.functional import REQUIRED_RESPONSES, combine_rows
 from .buffers import BufferPool, LifetimePlanner
 from .lowering import Op, lower
 from .optimizer import OptimizationReport, normalize_level
@@ -292,18 +293,25 @@ def _compile_conv2d(op: Op, build: _FloatBuild) -> Step:
             if module.bias is not None else None)
     key = build.next_key()
     cols_key = build.planner.scratch(key, "cols")
+    rows_key = build.planner.scratch(key, "rows")
     out_key = build.planner.activation(key)
 
     def conv_step(x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         oh = conv_output_size(h, kh, stride[0], padding[0])
         ow = conv_output_size(w, kw, stride[1], padding[1])
-        cols_buf = pool.get(cols_key, (n, c, kh, kw, oh, ow))
-        cols = be.im2col(x, kh, kw, stride, padding, out=cols_buf)
-        cols = cols.reshape(n, groups, c_g * kh * kw, oh * ow)
-        out = be.conv_project(cols, wmat,
-                              pool.get(out_key, (n, groups, f // groups, oh * ow)))
-        out = out.reshape(n, f, oh, ow)
+        width = oh * ow * n
+        cols = be.im2col(x, kh, kw, stride, padding, groups,
+                         out=pool.get(cols_key, (groups, c_g * kh * kw, width)))
+        out = pool.get(out_key, (n, f, oh, ow))
+        rows = out.transpose(1, 2, 3, 0)
+        if rows.flags.c_contiguous:
+            # Batch 1: the output already is the (F, OH, OW, N) row layout.
+            be.conv_project(cols, wmat, rows.reshape(groups, f // groups, width))
+        else:
+            rows = be.conv_project(cols, wmat,
+                                   pool.get(rows_key, (groups, f // groups, width)))
+            rows_to_image(rows.reshape(f, oh, ow, n), out=out)
         if bias is not None:
             be.add(out, bias, out=out)
         return out
@@ -403,7 +411,7 @@ def _compile_relu(op: Op, build: _FloatBuild) -> Step:
     out_key = build.planner.activation(build.next_key())
 
     def relu_step(x: np.ndarray) -> np.ndarray:
-        return be.maximum(x, np.float32(0.0), out=pool.get(out_key, x.shape))
+        return relu(x, out=pool.get(out_key, x.shape), ops=be)
 
     return relu_step
 
@@ -601,14 +609,14 @@ def _compile_quadratic_conv(op: Op, build: _FloatBuild) -> Step:
         n, c, h, w = x.shape
         oh = conv_output_size(h, kh, stride[0], padding[0])
         ow = conv_output_size(w, kw, stride[1], padding[1])
-        out_shape = (n, groups, f // groups, oh * ow)
-        cols_buf = pool.get(cols_key, (n, c, kh, kw, oh, ow))
-        cols = be.im2col(x, kh, kw, stride, padding, out=cols_buf)
-        cols = cols.reshape(n, groups, patch, oh * ow)
+        width = oh * ow * n
+        rows_shape = (groups, f // groups, width)
+        cols = be.im2col(x, kh, kw, stride, padding, groups,
+                         out=pool.get(cols_key, (groups, patch, width)))
         responses = []
         for kind in required:
             if kind == "id":
-                responses.append(x)
+                responses.append(x.transpose(1, 2, 3, 0))
                 continue
             if kind == "sq":
                 # im2col(x²) == im2col(x)² element-wise (zero padding squares
@@ -617,10 +625,10 @@ def _compile_quadratic_conv(op: Op, build: _FloatBuild) -> Step:
             else:
                 source = cols
             projected = be.conv_project(source, wmats[kind],
-                                        pool.get(proj_keys[kind], out_shape))
-            responses.append(projected.reshape(n, f, oh, ow))
-        out = be.combine(neuron_type, responses,
-                         out=pool.get(out_key, (n, f, oh, ow)))
+                                        pool.get(proj_keys[kind], rows_shape))
+            responses.append(projected.reshape(f, oh, ow, n))
+        out = combine_rows(neuron_type, responses, pool.get(out_key, (n, f, oh, ow)),
+                           ops=be, scratch=responses[0])
         if bias is not None:
             be.add(out, bias, out=out)
         return out

@@ -47,6 +47,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ..autodiff.ops.conv import rows_to_image
 from ..autodiff.tensor import Tensor
 
 
@@ -218,37 +219,70 @@ FUSED_COMBINERS: Dict[str, Callable[..., np.ndarray]] = {
 }
 
 
+def combine_rows(neuron_type: str, responses, out: np.ndarray, ops=np,
+                 scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Combine batch-innermost (F, OH, OW, N) responses into the NCHW image ``out``.
+
+    A convolution's projections come out of their GEMMs as (F, OH, OW, N)
+    rows.  The fused combiner runs on them whole, into ``scratch`` rows (or
+    a fresh array), which :func:`~repro.autodiff.ops.conv.rows_to_image`
+    then copies into ``out`` one channel span at a time.  At batch 1 the
+    two layouts coincide and the combiner writes straight into ``out``.
+    Every fused combiner may write over its first response, so a caller
+    whose responses are scratch can pass that one as ``scratch``.  Eager
+    and compiled convolutions both call this.
+    """
+    combiner = FUSED_COMBINERS[neuron_type]
+    image = out.transpose(1, 2, 3, 0)
+    if image.flags.c_contiguous:
+        combiner(*responses, out=image, ops=ops)
+    else:
+        rows_to_image(combiner(*responses, out=scratch, ops=ops), out=out)
+    return out
+
+
 # --------------------------------------------------------------------------- #
 # Combination backward (single-node quadratic convolution)
 # --------------------------------------------------------------------------- #
 #
-# ``COMBINE_BACKWARDS[type](grad, *read)`` returns the gradient of the loss
-# with respect to each response of ``REQUIRED_RESPONSES[type]``, in order,
-# given the gradient with respect to the combined output.  ``read`` are the
-# responses named by ``COMBINE_READS[type]`` — the only ones the combination's
-# backward needs, hence the only ones a single-node layer has to keep (or, under
-# hybrid back-propagation, recompute).  The products are the ones the composed
-# ``Mul``/``Add`` graph computes.
+# ``COMBINE_BACKWARDS[type](grad, *read, out=)`` returns the gradient of the
+# loss with respect to each response of ``REQUIRED_RESPONSES[type]``, in
+# order, given the gradient with respect to the combined output.  ``read`` are
+# the responses named by ``COMBINE_READS[type]`` — the only ones the
+# combination's backward needs, hence the only ones a single-node layer has to
+# keep (or, under hybrid back-propagation, recompute).  ``out`` holds one
+# destination per response, or ``None`` to allocate; a response whose gradient
+# is ``grad`` itself gets ``grad`` back when its destination is ``None``.  The
+# products are the ones the composed ``Mul``/``Add`` graph computes.
 
-def combine_backward_t2(grad: np.ndarray) -> tuple:
+def _passed(grad: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    if out is None:
+        return grad
+    np.copyto(out, grad)
+    return out
+
+
+def combine_backward_t2(grad: np.ndarray, *, out) -> tuple:
     """T2: the identity combination passes the gradient through."""
-    return (grad,)
+    return (_passed(grad, out[0]),)
 
 
-def combine_backward_t3(grad: np.ndarray, a: np.ndarray) -> tuple:
+def combine_backward_t3(grad: np.ndarray, a: np.ndarray, *, out) -> tuple:
     """T3: ``∂(a ∘ a)/∂a``, summed as the composed graph sums its two operands."""
-    half = grad * a
-    return (half + half,)
+    half = np.multiply(grad, a, out=out[0])
+    return (np.add(half, half, out=half),)
 
 
-def combine_backward_t4(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+def combine_backward_t4(grad: np.ndarray, a: np.ndarray, b: np.ndarray, *, out) -> tuple:
     """T4: ``∂(a ∘ b)`` — each factor's gradient is the other factor times ``grad``."""
-    return grad * b, grad * a
+    return np.multiply(grad, b, out=out[0]), np.multiply(grad, a, out=out[1])
 
 
-def combine_backward_t4_plus(grad: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+def combine_backward_t4_plus(grad: np.ndarray, a: np.ndarray, b: np.ndarray, *,
+                             out) -> tuple:
     """T4_ID, T2&4 and OURS: ``a ∘ b`` plus a third response that passes ``grad`` through."""
-    return grad * b, grad * a, grad
+    return (np.multiply(grad, b, out=out[0]), np.multiply(grad, a, out=out[1]),
+            _passed(grad, out[2]))
 
 
 #: Responses each combination's backward reads, per composable type name.

@@ -22,13 +22,13 @@ import numpy as np
 
 from ...autodiff.function import Context, Function
 from ...autodiff.tensor import cat as _cat, einsum as _einsum
-from ...autodiff.ops.conv import (col2im_channel_major, conv2d_raw, conv_output_size,
-                                  gemm_rows, im2col_channel_major)
+from ...autodiff.ops.conv import (conv2d_rows, conv_output_size, image_to_rows,
+                                  lower_columns, scatter_columns)
 from ...autodiff.tensor import Tensor
 from ...nn import functional as F
 from ...nn import init
 from ...nn.parameter import Parameter
-from ..functional import COMBINE_BACKWARDS, COMBINE_READS, FUSED_COMBINERS, REQUIRED_RESPONSES
+from ..functional import COMBINE_BACKWARDS, COMBINE_READS, REQUIRED_RESPONSES, combine_rows
 from .base import QuadraticLayerBase
 
 IntOrPair = Union[int, Tuple[int, int]]
@@ -48,22 +48,24 @@ class QuadraticConv2dFunction(Function):
     ``REQUIRED_RESPONSES`` (the ``id`` path has none), in that order, then the
     bias or ``None``.
 
-    Forward runs each projection through :func:`conv2d_raw` — the arithmetic
-    of ``Conv2d.forward`` — and combines the responses with
-    ``FUSED_COMBINERS``, so its output is bit-identical to the composed graph
-    and to the compiled plan.  It saves ``x``, the weights and the responses
-    the combination's backward reads (``COMBINE_READS``); with ``recompute``
+    Forward runs each projection through :func:`conv2d_rows` — the
+    arithmetic of ``Conv2d.forward`` — into batch-innermost (F, OH, OW, N)
+    responses, and combines them into the NCHW output with
+    :func:`~repro.quadratic.functional.combine_rows`, as the compiled step
+    does, so its output is bit-identical to the composed graph and to the
+    compiled plan.  It saves ``x``, the weights and the responses the
+    combination's backward reads (``COMBINE_READS``); with ``recompute``
     (hybrid back-propagation) only ``x`` and the weights, and backward
-    recomputes those responses.
+    recomputes those responses with the forward's own GEMM.
 
-    Backward lowers ``x`` once, channel-major, through the helpers
-    ``Conv2d.backward`` also calls.  Every response gradient comes from
-    ``COMBINE_BACKWARDS``; the weight gradients of the projections that share
-    a lowering come from one GEMM over their stacked response gradients, and
+    Backward lowers ``x`` once through :func:`lower_columns`, as
+    ``Conv2d.backward`` does.  ``COMBINE_BACKWARDS`` writes every response
+    gradient straight into the stacked GEMM rows; the weight gradients of the
+    projections that share a lowering come from one GEMM over those rows, and
     their contribution to the input gradient from one GEMM over their stacked
     weights.  The squared-input projection reads ``cols²`` (``im2col(x²) ==
     im2col(x)²``) and its input-gradient block is multiplied by ``2·cols``;
-    one ``col2im`` scatters the sum back to image space.
+    one :func:`scatter_columns` takes the sum back to image space.
     """
 
     @staticmethod
@@ -73,11 +75,13 @@ class QuadraticConv2dFunction(Function):
         required = REQUIRED_RESPONSES[neuron_type]
         kinds = tuple(kind for kind in required if kind != "id")
         weights, bias = params[:-1], params[-1]
-        responses = {"id": x}
+        responses = {"id": x.transpose(1, 2, 3, 0)}
         for kind, weight in zip(kinds, weights):
             source = x * x if kind == "sq" else x
-            responses[kind] = conv2d_raw(source, weight, stride, padding, groups)
-        out = FUSED_COMBINERS[neuron_type](*(responses[kind] for kind in required))
+            responses[kind] = conv2d_rows(source, weight, stride, padding, groups)
+        f, oh, ow, n = responses[kinds[0]].shape
+        out = np.empty((n, f, oh, ow), dtype=x.dtype)
+        combine_rows(neuron_type, [responses[kind] for kind in required], out)
         if bias is not None:
             out += bias.reshape(1, -1, 1, 1)
         ctx.neuron_type, ctx.kinds, ctx.recompute = neuron_type, kinds, recompute
@@ -91,29 +95,35 @@ class QuadraticConv2dFunction(Function):
         kinds, groups = ctx.kinds, ctx.groups
         x, *saved = ctx.saved_tensors
         weights, reads = saved[:len(kinds)], saved[len(kinds):]
-        n = x.shape[0]
         f, c_g, kh, kw = weights[0].shape
         fg = f // groups
-        grad = np.ascontiguousarray(grad)
-        oh, ow = grad.shape[2], grad.shape[3]
-        cols = im2col_channel_major(x, kh, kw, ctx.stride, ctx.padding, groups)
+        cols = lower_columns(x, kh, kw, ctx.stride, ctx.padding, groups)
         wmats = {kind: weight.reshape(groups, fg, c_g * kh * kw)
                  for kind, weight in zip(kinds, weights)}
         if ctx.recompute:
-            reads = [np.matmul(wmats[kind], cols).reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
-                     for kind in COMBINE_READS[ctx.neuron_type]]
+            reads = [np.matmul(wmats[kind], cols) for kind in COMBINE_READS[ctx.neuron_type]]
         required = REQUIRED_RESPONSES[ctx.neuron_type]
-        response_grads = dict(zip(required, COMBINE_BACKWARDS[ctx.neuron_type](grad, *reads)))
+        rows_grad = image_to_rows(grad).reshape(groups, fg, -1)      # (G, Fg, OH·OW·N)
+        reads = [read.reshape(rows_grad.shape) for read in reads]
 
         needs = ctx.needs_input_grad                  # (x, *weights, bias)
         plain = tuple(kind for kind in kinds if kind != "sq")
         blocks = [(plain, cols)] if plain else []
         if "sq" in kinds:
             blocks.append((("sq",), cols * cols))
+        # Each block's response gradients are written in place into its
+        # stacked GEMM rows (G, P·Fg, OH·OW·N).
+        stacked, slots = {}, {}
+        for block, _ in blocks:
+            stacked[block] = np.empty((groups, len(block), fg, rows_grad.shape[-1]), grad.dtype)
+            slots.update((kind, stacked[block][:, index]) for index, kind in enumerate(block))
+        COMBINE_BACKWARDS[ctx.neuron_type](rows_grad, *reads,
+                                           out=tuple(slots.get(kind) for kind in required))
+
         weight_grads = {}
         cols_grad = None
         for block, source in blocks:
-            rows = gemm_rows([response_grads[kind] for kind in block], groups)
+            rows = stacked[block].reshape(groups, len(block) * fg, -1)
             if any(needs[1 + kinds.index(kind)] for kind in block):
                 gw = np.matmul(rows, source.transpose(0, 2, 1))
                 for index, kind in enumerate(block):
@@ -128,9 +138,9 @@ class QuadraticConv2dFunction(Function):
 
         gx = None
         if needs[0]:
-            gx = col2im_channel_major(cols_grad, x.shape, kh, kw, ctx.stride, ctx.padding)
-            if "id" in response_grads:
-                gx += response_grads["id"]
+            gx = scatter_columns(cols_grad, x.shape, kh, kw, ctx.stride, ctx.padding)
+            if "id" in required:
+                gx += grad
         gbias = grad.sum(axis=(0, 2, 3)) if needs[-1] else None
         return (gx, *(weight_grads.get(kind) for kind in kinds), gbias)
 

@@ -246,5 +246,6 @@ class TestGateScript:
         assert set(check_trajectory.DIRECTIONS) == {"serving_scaleout",
                                                     "secure_serving",
                                                     "inference_throughput",
+                                                    "backend_throughput",
                                                     "fig8_hybrid_bp",
                                                     "fig5_memory_budgets"}

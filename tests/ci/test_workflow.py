@@ -310,7 +310,7 @@ def test_every_bench_gate_trajectory_record_is_gated(workflow):
         source = (REPO_ROOT / "benchmarks" / bench).read_text()
         appended.update(re.findall(r"append_trajectory\(\s*\"(\w+)\"", source))
     assert {"fig8_hybrid_bp", "fig5_memory_budgets", "inference_throughput",
-            "serving_scaleout", "secure_serving"} <= appended
+            "backend_throughput", "serving_scaleout", "secure_serving"} <= appended
     registered = set(trajectory_directions())
     assert not appended - registered, \
         f"bench-gate records with no DIRECTIONS entry: {appended - registered}"

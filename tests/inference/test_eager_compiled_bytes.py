@@ -1,0 +1,85 @@
+"""Eager and compiled forwards agree in bytes, not just in value.
+
+Every float convolution lowers its input once per projection into
+batch-innermost (G, C/G·kh·kw, OH·OW·N) columns and projects them with one
+GEMM per group over the whole batch: eager ``Conv2d``, the quadratic node
+under both back-propagation policies, and the compiled ``conv_step`` and
+``quadratic_conv_step`` on the ``numpy`` and ``threaded`` engines.  So their
+outputs must be equal in ``tobytes()`` at every batch size, stride, padding
+and group count, for every composable neuron type.  Batch 32 is large enough
+for ``threaded`` (two threads) to split both the lowering and the projection.
+
+ReLU is pinned the same way on the values whose sign of zero a platform's
+``maximum`` could pick.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.autodiff import Tensor
+from repro.backends import ThreadedBackend
+from repro.inference import compile_model
+from repro.quadratic import (
+    HybridQuadraticConv2d,
+    HybridQuadraticConv2dFan,
+    HybridQuadraticConv2dT4,
+    QuadraticConv2d,
+)
+
+HYBRID_CLASSES = {"OURS": HybridQuadraticConv2d, "T4": HybridQuadraticConv2dT4,
+                  "T2_4": HybridQuadraticConv2dFan}
+LAYERS = ["Conv2d", "T2", "T3", "T4", "T4_ID", "T2_4", "OURS",
+          *(f"{name}-hybrid" for name in sorted(HYBRID_CLASSES))]
+
+
+def make_layer(kind: str, stride: int, padding: int, groups: int):
+    kwargs = dict(kernel_size=3, stride=stride, padding=padding, groups=groups)
+    if kind == "Conv2d":
+        layer = nn.Conv2d(4, 6, **kwargs)
+    elif kind.endswith("-hybrid"):
+        layer = HYBRID_CLASSES[kind[:-len("-hybrid")]](4, 6, **kwargs)
+    else:
+        layer = QuadraticConv2d(4, 4 if kind == "T4_ID" else 6, neuron_type=kind, **kwargs)
+    # A zero bias would hide a wrong bias path.
+    layer.bias.data[...] = np.random.default_rng(7).standard_normal(layer.bias.shape)
+    return layer
+
+
+def _cases():
+    for kind, batch, stride, padding, groups in itertools.product(
+            LAYERS, (1, 2, 7, 32), (1, 2), (0, 1), (1, 2)):
+        if kind == "T4_ID" and (stride, padding) != (1, 1):
+            continue  # the identity path needs an H×W-preserving convolution
+        yield pytest.param(kind, batch, stride, padding, groups,
+                           id=f"{kind}-n{batch}-s{stride}-p{padding}-g{groups}")
+
+
+@pytest.mark.parametrize("kind,batch,stride,padding,groups", list(_cases()))
+def test_compiled_convolution_equals_eager_in_bytes(kind, batch, stride, padding, groups):
+    layer = make_layer(kind, stride, padding, groups)
+    model = nn.Sequential(layer)
+    x = np.random.default_rng(batch).standard_normal((batch, 4, 7, 7)).astype(np.float32)
+    eager = model(Tensor(x)).data
+    for engine in ("numpy", ThreadedBackend(num_threads=2)):
+        compiled = compile_model(model, backend=engine)
+        assert not compiled.fallback_modules
+        out = compiled(x)
+        assert out.shape == eager.shape and out.dtype == eager.dtype
+        assert out.tobytes() == eager.tobytes(), f"{compiled.backend_name} differs"
+
+
+def test_relu_gives_one_answer_eager_and_compiled():
+    values = np.array([[-np.inf, -1.0, -0.0, 0.0, 2.0, np.nan, np.inf]], dtype=np.float32)
+    model = nn.Sequential(nn.ReLU())
+    with np.errstate(all="raise"):
+        eager = model(Tensor(values)).data
+    compiled = compile_model(model)(values)
+    expected = np.array([[0.0, 0.0, 0.0, 0.0, 2.0, np.nan, np.inf]], dtype=np.float32)
+    assert not np.signbit(eager[0, :4]).any()
+    assert eager.tobytes() == compiled.tobytes()
+    np.testing.assert_array_equal(eager, expected)

@@ -133,16 +133,22 @@ class TestNodeAgainstComposedGraph:
         assert 0 < node_peak <= reference_peak
 
 
-@pytest.mark.parametrize("neuron_type", sorted(HYBRID_CLASSES))
-def test_hybrid_policy_caches_less_than_the_default(neuron_type):
+@pytest.mark.parametrize("neuron_type,stride,padding,groups,bias,policy",
+                         [case for case in CASES if case.values[-1] == "hybrid"])
+def test_hybrid_policy_equals_the_default_in_bytes(neuron_type, stride, padding, groups,
+                                                   bias, policy):
+    """The recompute runs the forward's own GEMM, so every gradient keeps its bits."""
     x = random_input(seed=4)
-    hybrid = make_layer(neuron_type, 1, 1, 1, True, "hybrid")
-    default = make_layer(neuron_type, 1, 1, 1, True, "default")
+    hybrid = make_layer(neuron_type, stride, padding, groups, bias, "hybrid")
+    default = make_layer(neuron_type, stride, padding, groups, bias, "default")
     default.load_state_dict(hybrid.state_dict())
-    hybrid_out, hybrid_gx, _, hybrid_peak = run(hybrid, hybrid, x)
-    default_out, default_gx, _, default_peak = run(default, default, x)
+    hybrid_out, hybrid_gx, hybrid_grads, hybrid_peak = run(hybrid, hybrid, x)
+    default_out, default_gx, default_grads, default_peak = run(default, default, x)
     assert hybrid_out.tobytes() == default_out.tobytes()
-    assert_close_to_reference(hybrid_gx, default_gx, "input")
+    assert hybrid_gx.tobytes() == default_gx.tobytes()
+    assert set(hybrid_grads) == set(default_grads)
+    for name in default_grads:
+        assert hybrid_grads[name].tobytes() == default_grads[name].tobytes(), name
     assert hybrid_peak < default_peak
 
 
@@ -152,8 +158,8 @@ def test_hybrid_policy_caches_less_than_the_default(neuron_type):
 
 @pytest.fixture
 def lowering_counts(monkeypatch):
-    """Count ``im2col``/``col2im`` calls wherever the convolution code binds them."""
-    counts = {"im2col": 0, "col2im": 0}
+    """Count ``lower_columns``/``scatter_columns`` calls wherever the convolution code binds them."""
+    counts = {"lower_columns": 0, "scatter_columns": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -179,10 +185,11 @@ def test_backward_lowers_once_and_scatters_once(lowering_counts, neuron_type, po
     x = Tensor(random_input(seed=5), requires_grad=x_requires_grad)
     out = layer(x)
     projections = sum(kind != "id" for kind in layer.required)
-    assert lowering_counts == {"im2col": projections, "col2im": 0}
+    assert lowering_counts == {"lower_columns": projections, "scatter_columns": 0}
 
-    lowering_counts.update(im2col=0, col2im=0)
+    lowering_counts.update(lower_columns=0, scatter_columns=0)
     out.sum().backward()
-    assert lowering_counts == {"im2col": 1, "col2im": 1 if x_requires_grad else 0}
+    assert lowering_counts == {"lower_columns": 1,
+                               "scatter_columns": 1 if x_requires_grad else 0}
     assert (x.grad is not None) == x_requires_grad
     assert all(p.grad is not None for p in layer.parameters())
