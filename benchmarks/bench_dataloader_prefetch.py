@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from common import fresh_seed, quick_mode, save_experiment
+from common import append_trajectory, fresh_seed, quick_mode, save_experiment
 
 from repro.autodiff.tensor import Tensor
 from repro.data import DataLoader, PrefetchDataLoader, TransformDataset, transforms
@@ -159,6 +159,12 @@ def main() -> None:
         "bit_identical": True,
         "gate_armed": gate_armed,
         "min_speedup": MIN_SPEEDUP,
+    })
+    append_trajectory("dataloader_prefetch", {
+        "quick_mode": quick,
+        "cpus": cores,
+        "armed": gate_armed,
+        "speedup": speedup,
     })
 
     if gate_armed:

@@ -37,7 +37,7 @@ STRUCTURES = {
 def test_fig5_training_memory_vs_gpu_budgets(benchmark):
     fresh_seed(5)
     rows = []
-    headline = {"quick_mode": quick_mode(), "cpus": os.cpu_count() or 1}
+    headline = {"quick_mode": quick_mode(), "cpus": os.cpu_count() or 1, "armed": True}
     results = {"batch_size": BATCH, "budgets_gib": {k: gib(v) for k, v in GPU_MEMORY_BUDGETS.items()}}
 
     for name, builder in STRUCTURES.items():

@@ -93,6 +93,7 @@ def test_fig8_hybrid_bp_memory_curve(benchmark):
     append_trajectory("fig8_hybrid_bp", {
         "quick_mode": quick_mode(),
         "cpus": os.cpu_count() or 1,
+        "armed": True,
         "default_peak_bytes": default_tracker.peak_bytes,
         "hybrid_peak_bytes": hybrid_tracker.peak_bytes,
         "saving_fraction": saving,

@@ -121,6 +121,7 @@ def main() -> None:
     append_trajectory("inference_throughput", {
         "quick_mode": quick,
         "cpus": os.cpu_count() or 1,
+        "armed": True,
         "speedup": results["speedup"],
         "eager_ms_per_sample": results["eager_ms_per_sample"],
         "compiled_ms_per_sample": results["compiled_ms_per_sample"],

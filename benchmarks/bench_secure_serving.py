@@ -314,6 +314,7 @@ def main() -> None:
     headline = {
         "quick_mode": quick,
         "cpus": cores,
+        "armed": enforce,
         "online_ratio": ratio,
         "baseline_qps": baseline["qps"],
         "converted_qps": converted["qps"],

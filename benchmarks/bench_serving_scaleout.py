@@ -423,6 +423,7 @@ def main() -> None:
     headline = {
         "quick_mode": quick,
         "cpus": cores,
+        "armed": enforce,
         "baseline_samples_per_s": baseline_rps,
         "best_pool_samples_per_s": max(entry["samples_per_s"]
                                        for entry in sweep),

@@ -55,6 +55,12 @@ DIRECTIONS = {
         "numpy_samples_per_s": "higher",
         "threaded_samples_per_s": "higher",
     },
+    "secure_inference": {
+        "cost_ratio": "higher",
+    },
+    "dataloader_prefetch": {
+        "speedup": "higher",
+    },
     "fig8_hybrid_bp": {
         "default_peak_bytes": "lower-exact",
         "hybrid_peak_bytes": "lower-exact",

@@ -30,8 +30,6 @@ import numpy as np
 from ..nn.layers.conv import Conv2d
 from ..nn.layers.linear import Linear
 from ..nn.module import Module
-from ..quadratic.layers.hybrid import HybridQuadraticLinear
-from ..quadratic.layers.qlinear import QuadraticLinear
 from ..quadratic.neuron_types import resolve_type
 from .config import QuadraticModelConfig
 from .indicator import LayerIndicator, compute_layer_indicators
@@ -58,11 +56,10 @@ def _convert_conv(layer: Conv2d, neuron_type: str, hybrid_bp: bool) -> Module:
 
 
 def _convert_linear(layer: Linear, neuron_type: str, hybrid_bp: bool) -> Module:
-    if hybrid_bp and resolve_type(neuron_type).name == "OURS":
-        return HybridQuadraticLinear(layer.in_features, layer.out_features,
-                                     bias=layer.bias is not None)
-    return QuadraticLinear(layer.in_features, layer.out_features, neuron_type=neuron_type,
-                           bias=layer.bias is not None)
+    from ..quadratic.factory import quadratic_layer
+
+    return quadratic_layer(neuron_type, layer.in_features, layer.out_features,
+                           bias=layer.bias is not None, hybrid_bp=hybrid_bp)
 
 
 def quadratize_module(model: Module, neuron_type: str = "OURS", hybrid_bp: bool = False,
@@ -77,7 +74,7 @@ def quadratize_module(model: Module, neuron_type: str = "OURS", hybrid_bp: bool 
     neuron_type : str
         Quadratic design for the converted layers.
     hybrid_bp : bool
-        Use the symbolic-backward implementations where available.
+        Set ``recompute`` (hybrid back-propagation) on every converted layer.
     convert_linear : bool
         Also convert dense layers (classifier heads usually stay first-order).
     skip_depthwise : bool
@@ -91,19 +88,22 @@ def quadratize_module(model: Module, neuron_type: str = "OURS", hybrid_bp: bool 
     int
         Number of layers converted.
     """
+    from ..inference.lowering import kind_of  # lazy: the lowering imports the model zoo
+
     converted = 0
     for name, module in list(model.named_modules()):
         for child_name, child in list(module._modules.items()):
             full_name = f"{name}.{child_name}" if name else child_name
             if any(skip in full_name for skip in skip_names):
                 continue
-            if isinstance(child, Conv2d):
+            kind = kind_of(child)
+            if kind == "conv":
                 if skip_depthwise and child.groups == child.in_channels and child.groups > 1:
                     continue
                 module.register_module(child_name,
                                        _convert_conv(child, neuron_type, hybrid_bp))
                 converted += 1
-            elif convert_linear and isinstance(child, Linear):
+            elif convert_linear and kind == "linear":
                 module.register_module(child_name,
                                        _convert_linear(child, neuron_type, hybrid_bp))
                 converted += 1
@@ -199,7 +199,7 @@ class AutoBuilder:
     neuron_type : str
         Quadratic design used for converted layers (default: the paper's).
     hybrid_bp : bool
-        Build memory-efficient symbolic-backward layers where available.
+        Set ``recompute`` (hybrid back-propagation) on every converted layer.
     convert_linear : bool
         Also convert dense layers.
     """

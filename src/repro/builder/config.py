@@ -64,7 +64,7 @@ class QuadraticModelConfig:
     use_activation : bool
         Design insight 3: shallow QDNNs may drop ReLU; deep ones need it.
     hybrid_bp : bool
-        Use the symbolic-backward (memory-efficient) quadratic layers.
+        Set ``recompute`` (hybrid back-propagation) on every quadratic layer.
     width_multiplier : float
         Scales every channel count (used to fit CPU budgets in benchmarks).
     """

@@ -59,6 +59,7 @@ from ..backends import Backend, get_backend
 from ..nn.layers.normalization import _BatchNorm
 from ..nn.module import Module
 from ..quadratic.functional import REQUIRED_RESPONSES, combine_rows
+from ..quadratic.layers.qlinear import quadratic_linear_rows
 from .buffers import BufferPool, LifetimePlanner
 from .lowering import Op, lower
 from .optimizer import OptimizationReport, normalize_level
@@ -637,7 +638,11 @@ def _compile_quadratic_conv(op: Op, build: _FloatBuild) -> Step:
 
 
 def _compile_quadratic_linear(op: Op, build: _FloatBuild) -> Step:
-    """Fused dense quadratic layer (all composable types; T1 falls back)."""
+    """Fused dense quadratic layer (all composable types; T1 falls back).
+
+    The step runs the autodiff node's forward, :func:`quadratic_linear_rows`,
+    over ``x.reshape(-1, in)`` through the backend into pooled buffers.
+    """
     module = op.module
     required = REQUIRED_RESPONSES[module.neuron_type]
     if "bilinear" in required:
@@ -651,31 +656,18 @@ def _compile_quadratic_linear(op: Op, build: _FloatBuild) -> Step:
     }
     bias = module.bias.data if module.bias is not None else None
     key = build.next_key()
-    sq_key = build.planner.scratch(key, "x_sq")
-    proj_keys = {kind: build.planner.scratch(key, f"qlin_{kind}")
-                 for kind in weights_t}
-    out_key = build.planner.activation(key)
+    keys = {kind: build.planner.scratch(key, f"qlin_{kind}") for kind in weights_t}
+    keys.update(x_sq=build.planner.scratch(key, "x_sq"), out=build.planner.activation(key))
     neuron_type = module.neuron_type
     out_features = module.out_features
 
+    def buffer(name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        return pool.get(keys[name], shape)
+
     def quadratic_linear_step(x: np.ndarray) -> np.ndarray:
-        proj_shape = (x.shape[0], out_features)
-        responses = []
-        for kind in required:
-            if kind == "id":
-                responses.append(x)
-            elif kind == "sq":
-                squared = be.multiply(x, x, out=pool.get(sq_key, x.shape))
-                responses.append(be.gemm(squared, weights_t["sq"],
-                                         out=pool.get(proj_keys["sq"], proj_shape)))
-            else:
-                responses.append(be.gemm(x, weights_t[kind],
-                                         out=pool.get(proj_keys[kind], proj_shape)))
-        out = be.combine(neuron_type, responses,
-                         out=pool.get(out_key, proj_shape))
-        if bias is not None:
-            be.add(out, bias, out=out)
-        return out
+        out, _ = quadratic_linear_rows(neuron_type, x.reshape(-1, x.shape[-1]), weights_t,
+                                       bias, ops=be, gemm=be.gemm, buffer=buffer)
+        return out.reshape(x.shape[:-1] + (out_features,))
 
     return quadratic_linear_step
 

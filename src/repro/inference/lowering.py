@@ -6,8 +6,8 @@ module makes the two decisions every consumer of a model needs, once:
 
 * **What kind a module is.**  :data:`KINDS` names each layer class once and
   :func:`kind_of` resolves a module through its MRO, so a subclass inherits
-  its base's kind.  A hybrid back-propagation layer is the same kind as its
-  composed twin: they differ in backward only.
+  its base's kind.  Hybrid back-propagation is a quadratic layer's
+  ``recompute`` setting: it changes backward only, never the kind.
 * **How a module tree flattens into execution order.**  :func:`lower` walks
   ``Sequential`` bodies, ``inference_plan()`` stages and the zoo's composite
   blocks, applies the graph optimizer's per-chain rewrites
@@ -54,12 +54,6 @@ from ..nn.layers.misc import Dropout, Flatten, UpsampleNearest2d, ZeroPad2d
 from ..nn.layers.normalization import LayerNorm, _BatchNorm
 from ..nn.layers.pooling import AdaptiveAvgPool2d, AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..nn.module import Module
-from ..quadratic.layers.hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-    HybridQuadraticLinear,
-)
 from ..quadratic.layers.qconv import QuadraticConv2d, QuadraticConv2dT1
 from ..quadratic.layers.qlinear import QuadraticLinear
 from .optimizer import FrozenBatchNorm, OptimizationReport, optimize_plan
@@ -80,11 +74,7 @@ KINDS: Dict[type, str] = {
     LayerNorm: "layernorm",
     # quadratic layers: first-order projections plus one element-wise combine
     QuadraticConv2d: "quadratic_conv",
-    HybridQuadraticConv2d: "quadratic_conv",
-    HybridQuadraticConv2dT4: "quadratic_conv",
-    HybridQuadraticConv2dFan: "quadratic_conv",
     QuadraticLinear: "quadratic_linear",
-    HybridQuadraticLinear: "quadratic_linear",
     QuadraticConv2dT1: "bilinear_conv",
     # activations
     ReLU: "relu",

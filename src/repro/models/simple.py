@@ -14,8 +14,6 @@ from .. import nn
 from ..builder.config import QuadraticModelConfig
 from ..builder.constructors import build_mlp, make_conv
 from ..nn.module import Module
-from ..quadratic.layers.hybrid import HybridQuadraticLinear
-from ..quadratic.layers.qlinear import QuadraticLinear
 
 
 class SmallConvNet(Module):

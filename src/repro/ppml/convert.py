@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Tuple, Type, Union
 
 from ..builder.auto_builder import quadratize_module
 from ..nn.layers.activations import Identity, LeakyReLU, ReLU, Square
-from ..nn.layers.pooling import AvgPool2d, MaxPool2d
+from ..nn.layers.pooling import AvgPool2d
 from ..nn.module import Module
 from .cost import CostReport, analyse_model
 from .protocols import Protocol, resolve_protocol
@@ -98,13 +98,15 @@ def replace_maxpool_with_avgpool(model: Module, skip_names: Sequence[str] = ()) 
     expensive as a ReLU under a garbled-circuit protocol and impossible under
     levelled HE; average pooling is a plain linear operation.
     """
+    from ..inference.lowering import kind_of  # lazy: the lowering imports the model zoo
+
     replaced = 0
     for name, module in list(model.named_modules()):
         for child_name, child in list(module._modules.items()):
             full_name = f"{name}.{child_name}" if name else child_name
             if any(skip in full_name for skip in skip_names):
                 continue
-            if isinstance(child, MaxPool2d):
+            if kind_of(child) == "maxpool":
                 module.register_module(
                     child_name,
                     AvgPool2d(child.kernel_size, stride=child.stride, padding=child.padding),

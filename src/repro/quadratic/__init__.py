@@ -2,8 +2,8 @@
 
 Quadratic neuron taxonomy (Table 1), quadratic dense/convolution layers for
 every design, the new ``(Wa X) ∘ (Wb X) + Wc X`` neuron, hybrid
-back-propagation layers with symbolic backward, the analytical complexity
-model and gradient-flow analysis utilities.
+back-propagation as a per-layer ``recompute`` setting, the analytical
+complexity model and gradient-flow analysis utilities.
 
 Typical usage mirrors the paper's ``import QuadraNeuron as qua`` example::
 
@@ -28,8 +28,6 @@ from .functional import COMBINERS, REQUIRED_RESPONSES
 from .gradients import GradientFlowProbe, theoretical_attenuation, vanishing_depth
 from .layers import (
     HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
     HybridQuadraticLinear,
     QuadraticConv2d,
     QuadraticConv2dT1,
@@ -50,8 +48,6 @@ __all__ = [
     "QuadraticConv2d",
     "QuadraticConv2dT1",
     "HybridQuadraticConv2d",
-    "HybridQuadraticConv2dT4",
-    "HybridQuadraticConv2dFan",
     "HybridQuadraticLinear",
     "quadratic_layer",
     "type1",

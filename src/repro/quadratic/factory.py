@@ -8,25 +8,13 @@ the dense or convolutional implementation from the arguments.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from ..nn.module import Module
-from .layers.hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-    HybridQuadraticLinear,
-)
+from .functional import COMBINE_READS
 from .layers.qconv import QuadraticConv2d, QuadraticConv2dT1
 from .layers.qlinear import QuadraticLinear
 from .neuron_types import ALIASES, available_types, resolve_type
-
-#: Convolutional symbolic-backward (hybrid BP) implementations per neuron type.
-_HYBRID_CONV_LAYERS = {
-    "OURS": HybridQuadraticConv2d,
-    "T4": HybridQuadraticConv2dT4,
-    "T2_4": HybridQuadraticConv2dFan,
-}
 
 
 def quadratic_layer(neuron_type: str, in_features: int, out_features: int,
@@ -36,10 +24,10 @@ def quadratic_layer(neuron_type: str, in_features: int, out_features: int,
     """Create a quadratic layer of any registered type.
 
     If ``kernel_size`` is given a convolutional layer is built, otherwise a
-    dense one.  ``hybrid_bp=True`` selects the symbolic-backward implementation
-    where one exists (convolutions of the ``OURS``, ``T4`` and ``T2_4`` designs,
-    dense layers of the ``OURS`` design); other designs fall back to composed
-    autodiff.
+    dense one.  ``hybrid_bp=True`` sets the layer's ``recompute`` (hybrid
+    back-propagation: backward recomputes the responses instead of keeping
+    them) on every composable design; the full-rank T1 family trains as a
+    composed graph and ignores it.
 
     Raises
     ------
@@ -51,27 +39,26 @@ def quadratic_layer(neuron_type: str, in_features: int, out_features: int,
         spec = resolve_type(neuron_type)
     except KeyError:
         # Regenerated from the registries on every raise, so newly registered
-        # designs / aliases / hybrid implementations can never go missing here.
+        # designs / aliases can never go missing here.
         raise ValueError(
             f"unknown neuron type {neuron_type!r} for quadratic_layer(); "
             f"registered neuron types: {', '.join(available_types())} "
-            f"(aliases: {', '.join(sorted(ALIASES))}; hybrid_bp convolutions "
-            f"exist for: {', '.join(sorted(_HYBRID_CONV_LAYERS))}, dense for: OURS)"
+            f"(aliases: {', '.join(sorted(ALIASES))}; hybrid_bp recomputes the "
+            f"responses of: {', '.join(sorted(COMBINE_READS))})"
         ) from None
     if kernel_size is None:
-        if hybrid_bp and spec.name == "OURS":
-            return HybridQuadraticLinear(in_features, out_features, bias=bias)
-        return QuadraticLinear(in_features, out_features, neuron_type=spec.name, bias=bias)
-    if spec.full_rank:
+        layer = QuadraticLinear(in_features, out_features, neuron_type=spec.name, bias=bias)
+    elif spec.full_rank:
         return QuadraticConv2dT1(in_features, out_features, kernel_size=kernel_size,
                                  stride=stride, padding=padding, neuron_type=spec.name,
                                  bias=bias)
-    if hybrid_bp and spec.name in _HYBRID_CONV_LAYERS:
-        hybrid_cls = _HYBRID_CONV_LAYERS[spec.name]
-        return hybrid_cls(in_features, out_features, kernel_size=kernel_size,
-                          stride=stride, padding=padding, groups=groups, bias=bias)
-    return QuadraticConv2d(in_features, out_features, kernel_size=kernel_size, stride=stride,
-                           padding=padding, groups=groups, neuron_type=spec.name, bias=bias)
+    else:
+        layer = QuadraticConv2d(in_features, out_features, kernel_size=kernel_size,
+                                stride=stride, padding=padding, groups=groups,
+                                neuron_type=spec.name, bias=bias)
+    if hybrid_bp and not spec.full_rank:
+        layer.recompute = True
+    return layer
 
 
 def _make_factory(type_name: str):

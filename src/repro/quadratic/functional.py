@@ -242,7 +242,7 @@ def combine_rows(neuron_type: str, responses, out: np.ndarray, ops=np,
 
 
 # --------------------------------------------------------------------------- #
-# Combination backward (single-node quadratic convolution)
+# Combination backward (single-node quadratic convolution and dense layer)
 # --------------------------------------------------------------------------- #
 #
 # ``COMBINE_BACKWARDS[type](grad, *read, out=)`` returns the gradient of the

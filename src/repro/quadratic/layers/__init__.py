@@ -1,25 +1,17 @@
 """Quadratic layer modules."""
 
 from .base import QuadraticLayerBase
-from .hybrid import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-    HybridQuadraticLinear,
-    HybridQuadraticLinearFunction,
-)
-from .qconv import QuadraticConv2d, QuadraticConv2dFunction, QuadraticConv2dT1
-from .qlinear import QuadraticLinear
+from .qconv import (HybridQuadraticConv2d, QuadraticConv2d, QuadraticConv2dFunction,
+                    QuadraticConv2dT1)
+from .qlinear import HybridQuadraticLinear, QuadraticLinear, QuadraticLinearFunction
 
 __all__ = [
     "QuadraticLayerBase",
     "QuadraticLinear",
+    "QuadraticLinearFunction",
     "QuadraticConv2d",
     "QuadraticConv2dT1",
     "QuadraticConv2dFunction",
     "HybridQuadraticConv2d",
-    "HybridQuadraticConv2dT4",
-    "HybridQuadraticConv2dFan",
     "HybridQuadraticLinear",
-    "HybridQuadraticLinearFunction",
 ]

@@ -6,9 +6,9 @@ responses are combined by Hadamard products and sums — the paper's
 implementation-feasibility recipe (P4).  The whole layer trains as one
 autograd node, :class:`QuadraticConv2dFunction`, whose backward is derived by
 hand: one lowering of the input, stacked GEMMs for the weight and input
-gradients and a single scatter.  Hybrid back-propagation (paper Sec. 4.3,
-:mod:`repro.quadratic.layers.hybrid`) is the same node with a recompute
-policy.  ``QuadraticConv2dT1`` implements the full-rank bilinear convolution
+gradients and a single scatter.  Hybrid back-propagation (paper Sec. 4.3)
+is the same node with its :attr:`QuadraticConv2d.recompute` setting.
+``QuadraticConv2dT1`` implements the full-rank bilinear convolution
 (Cheung & Leung / Mantini & Shah style) whose parameter count grows with the
 *square* of the patch size; it exists so the memory-explosion numbers of P2
 and Fig. 5 can be measured rather than assumed.
@@ -153,8 +153,8 @@ class QuadraticConv2d(QuadraticLayerBase):
     element-wise operations.  Use :class:`QuadraticConv2dT1` for the
     full-rank T1 family.  The layer trains as one
     :class:`QuadraticConv2dFunction` node that keeps the responses its
-    combination's backward reads; the hybrid-BP subclasses set
-    :attr:`recompute` to keep only the input and the weights instead.
+    combination's backward reads; set :attr:`recompute` to keep only the
+    input and the weights instead (hybrid BP).
 
     Parameters
     ----------
@@ -233,7 +233,19 @@ class QuadraticConv2d(QuadraticLayerBase):
     def extra_repr(self) -> str:
         return (f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "
                 f"stride={self.stride}, padding={self.padding}, type={self.neuron_type}, "
-                f"bias={self.bias is not None}")
+                f"bias={self.bias is not None}" + (", recompute=True" if self.recompute else ""))
+
+
+class HybridQuadraticConv2d(QuadraticConv2d):
+    """``QuadraticConv2d(neuron_type='OURS')`` whose :attr:`recompute` defaults to True."""
+
+    recompute = True
+
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: IntOrPair = 3,
+                 stride: IntOrPair = 1, padding: IntOrPair = 0, groups: int = 1,
+                 bias: bool = True) -> None:
+        super().__init__(in_channels, out_channels, kernel_size=kernel_size, stride=stride,
+                         padding=padding, groups=groups, neuron_type="OURS", bias=bias)
 
 
 class QuadraticConv2dT1(QuadraticLayerBase):

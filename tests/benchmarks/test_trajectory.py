@@ -247,5 +247,7 @@ class TestGateScript:
                                                     "secure_serving",
                                                     "inference_throughput",
                                                     "backend_throughput",
+                                                    "secure_inference",
+                                                    "dataloader_prefetch",
                                                     "fig8_hybrid_bp",
                                                     "fig5_memory_budgets"}

@@ -27,7 +27,7 @@ from repro.builder import (
     scale_vgg_cfg,
 )
 from repro.models import SmallConvNet
-from repro.quadratic import HybridQuadraticConv2d, QuadraticConv2d, QuadraticLinear
+from repro.quadratic import QuadraticConv2d, QuadraticLinear
 
 
 class TestConfig:
@@ -66,8 +66,8 @@ class TestConstructors:
         quad = make_conv(QuadraticModelConfig(neuron_type="OURS"), 3, 8)
         hybrid = make_conv(QuadraticModelConfig(neuron_type="OURS", hybrid_bp=True), 3, 8)
         assert isinstance(first, nn.Conv2d)
-        assert isinstance(quad, QuadraticConv2d)
-        assert isinstance(hybrid, HybridQuadraticConv2d)
+        assert isinstance(quad, QuadraticConv2d) and not quad.recompute
+        assert type(hybrid) is QuadraticConv2d and hybrid.recompute
 
     def test_conv_block_respects_design_insights(self):
         config = QuadraticModelConfig(neuron_type="OURS", use_batchnorm=True, use_activation=True)
@@ -141,9 +141,10 @@ class TestLayerReplacement:
         assert converted == 0
 
     def test_quadratize_hybrid(self):
-        model = nn.Sequential(nn.Conv2d(3, 8, 3))
-        quadratize_module(model, neuron_type="OURS", hybrid_bp=True)
-        assert isinstance(model[0], HybridQuadraticConv2d)
+        model = nn.Sequential(nn.Conv2d(3, 8, 3), nn.Flatten(), nn.Linear(8, 4))
+        quadratize_module(model, neuron_type="OURS", hybrid_bp=True, convert_linear=True)
+        assert type(model[0]) is QuadraticConv2d and model[0].recompute
+        assert type(model[2]) is QuadraticLinear and model[2].recompute
 
     def test_autobuilder_convert_report(self):
         model = SmallConvNet(num_classes=4)

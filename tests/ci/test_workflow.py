@@ -310,9 +310,50 @@ def test_every_bench_gate_trajectory_record_is_gated(workflow):
         source = (REPO_ROOT / "benchmarks" / bench).read_text()
         appended.update(re.findall(r"append_trajectory\(\s*\"(\w+)\"", source))
     assert {"fig8_hybrid_bp", "fig5_memory_budgets", "inference_throughput",
-            "backend_throughput", "serving_scaleout", "secure_serving"} <= appended
+            "backend_throughput", "serving_scaleout", "secure_serving",
+            "secure_inference", "dataloader_prefetch"} <= appended
     registered = set(trajectory_directions())
     assert not appended - registered, \
         f"bench-gate records with no DIRECTIONS entry: {appended - registered}"
     assert not registered - appended, \
         f"DIRECTIONS entries no bench-gate bench writes: {registered - appended}"
+
+
+def appended_record_keys(source: str) -> dict:
+    """Record name -> the keys of the dict literal each ``append_trajectory`` call appends.
+
+    The record is the call's literal second argument, or the dict literal
+    last assigned to the name it passes.
+    """
+    tree = ast.parse(source)
+    literals = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)):
+            literals[node.targets[0].id] = node.value
+    records = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "append_trajectory"):
+            name, record = node.args
+            if isinstance(record, ast.Name):
+                record = literals[record.id]
+            records[name.value] = {key.value for key in record.keys
+                                   if isinstance(key, ast.Constant)}
+    return records
+
+
+def test_every_bench_gate_trajectory_record_says_whether_its_gate_was_armed(workflow):
+    """The backend, scale-out, secure-serving and prefetch gates arm only on
+    hosts with enough cores; a ratio from a host where its gate never armed
+    must not read as a pass in the history.  Records whose gate holds on
+    every host say ``armed: True``."""
+    runs = " ".join(step.get("run", "") for job, step in all_steps(workflow)
+                    if job == "bench-gate")
+    records = {}
+    for bench in set(re.findall(r"\bbench_\w+\.py", runs)):
+        records.update(appended_record_keys(
+            (REPO_ROOT / "benchmarks" / bench).read_text()))
+    assert set(trajectory_directions()) <= set(records)
+    for name, keys in sorted(records.items()):
+        assert {"armed", "cpus", "quick_mode"} <= keys, name

@@ -176,10 +176,7 @@ class TestQuadraticRules:
         assert len(compiled.fallback_modules) == 1
 
     def test_hybrid_layers_compile_through_the_same_fused_rule(self):
-        from repro.quadratic.layers.hybrid import (
-            HybridQuadraticConv2d,
-            HybridQuadraticLinear,
-        )
+        from repro.quadratic import HybridQuadraticConv2d, HybridQuadraticLinear
 
         model = nn.Sequential(HybridQuadraticConv2d(3, 4, 3, padding=1),
                               nn.Flatten(), HybridQuadraticLinear(4 * 64, 5))

@@ -9,6 +9,10 @@ outputs must be equal in ``tobytes()`` at every batch size, stride, padding
 and group count, for every composable neuron type.  Batch 32 is large enough
 for ``threaded`` (two threads) to split both the lowering and the projection.
 
+The dense quadratic node and the compiled ``quadratic_linear_step`` share one
+forward over ``x.reshape(-1, in)`` rows, so they agree in bytes too, at every
+batch size and with extra leading dimensions.
+
 ReLU is pinned the same way on the values whose sign of zero a platform's
 ``maximum`` could pick.
 """
@@ -24,36 +28,35 @@ from repro import nn
 from repro.autodiff import Tensor
 from repro.backends import ThreadedBackend
 from repro.inference import compile_model
-from repro.quadratic import (
-    HybridQuadraticConv2d,
-    HybridQuadraticConv2dFan,
-    HybridQuadraticConv2dT4,
-    QuadraticConv2d,
-)
+from repro.quadratic import QuadraticConv2d, QuadraticLinear
 
-HYBRID_CLASSES = {"OURS": HybridQuadraticConv2d, "T4": HybridQuadraticConv2dT4,
-                  "T2_4": HybridQuadraticConv2dFan}
-LAYERS = ["Conv2d", "T2", "T3", "T4", "T4_ID", "T2_4", "OURS",
-          *(f"{name}-hybrid" for name in sorted(HYBRID_CLASSES))]
+COMPOSABLE_TYPES = ["T2", "T3", "T4", "T4_ID", "T2_4", "OURS"]
+QUADRATIC = [*COMPOSABLE_TYPES, *(f"{name}-hybrid" for name in COMPOSABLE_TYPES)]
+LAYERS = ["Conv2d", *QUADRATIC]
+ENGINES = ("numpy", ThreadedBackend(num_threads=2))
 
 
-def make_layer(kind: str, stride: int, padding: int, groups: int):
-    kwargs = dict(kernel_size=3, stride=stride, padding=padding, groups=groups)
-    if kind == "Conv2d":
-        layer = nn.Conv2d(4, 6, **kwargs)
-    elif kind.endswith("-hybrid"):
-        layer = HYBRID_CLASSES[kind[:-len("-hybrid")]](4, 6, **kwargs)
-    else:
-        layer = QuadraticConv2d(4, 4 if kind == "T4_ID" else 6, neuron_type=kind, **kwargs)
+def with_random_bias(layer):
     # A zero bias would hide a wrong bias path.
     layer.bias.data[...] = np.random.default_rng(7).standard_normal(layer.bias.shape)
     return layer
 
 
+def make_layer(kind: str, stride: int, padding: int, groups: int):
+    kwargs = dict(kernel_size=3, stride=stride, padding=padding, groups=groups)
+    if kind == "Conv2d":
+        return with_random_bias(nn.Conv2d(4, 6, **kwargs))
+    neuron_type = kind.split("-")[0]
+    layer = QuadraticConv2d(4, 4 if neuron_type == "T4_ID" else 6,
+                            neuron_type=neuron_type, **kwargs)
+    layer.recompute = kind.endswith("-hybrid")
+    return with_random_bias(layer)
+
+
 def _cases():
     for kind, batch, stride, padding, groups in itertools.product(
             LAYERS, (1, 2, 7, 32), (1, 2), (0, 1), (1, 2)):
-        if kind == "T4_ID" and (stride, padding) != (1, 1):
+        if kind.startswith("T4_ID") and (stride, padding) != (1, 1):
             continue  # the identity path needs an H×W-preserving convolution
         yield pytest.param(kind, batch, stride, padding, groups,
                            id=f"{kind}-n{batch}-s{stride}-p{padding}-g{groups}")
@@ -64,13 +67,30 @@ def test_compiled_convolution_equals_eager_in_bytes(kind, batch, stride, padding
     layer = make_layer(kind, stride, padding, groups)
     model = nn.Sequential(layer)
     x = np.random.default_rng(batch).standard_normal((batch, 4, 7, 7)).astype(np.float32)
+    assert_compiled_equals_eager(model, x)
+
+
+def assert_compiled_equals_eager(model, x):
     eager = model(Tensor(x)).data
-    for engine in ("numpy", ThreadedBackend(num_threads=2)):
+    for engine in ENGINES:
         compiled = compile_model(model, backend=engine)
         assert not compiled.fallback_modules
         out = compiled(x)
         assert out.shape == eager.shape and out.dtype == eager.dtype
         assert out.tobytes() == eager.tobytes(), f"{compiled.backend_name} differs"
+
+
+@pytest.mark.parametrize("shape", [(1, 32), (2, 32), (7, 32), (32, 32), (2, 3, 32)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("kind", QUADRATIC)
+def test_compiled_quadratic_linear_equals_eager_in_bytes(kind, shape):
+    """Batch 32 at 32→24 features is enough work for ``threaded`` to split the GEMM."""
+    neuron_type = kind.split("-")[0]
+    layer = QuadraticLinear(32, 32 if neuron_type == "T4_ID" else 24, neuron_type=neuron_type)
+    layer.recompute = kind.endswith("-hybrid")
+    model = nn.Sequential(with_random_bias(layer), nn.ReLU())
+    x = np.random.default_rng(shape[0]).standard_normal(shape).astype(np.float32)
+    assert_compiled_equals_eager(model, x)
 
 
 def test_relu_gives_one_answer_eager_and_compiled():

@@ -94,8 +94,9 @@ def test_trace_counts_scale_with_batch_size():
 
 @pytest.mark.parametrize("neuron_type, hybrid_bp", [
     *(pytest.param(t, False, id=t) for t in ("T2", "T3", "T4", "T4_ID", "T2_4", "OURS")),
-    # The symbolic-backward twins are the same layer kind as the composed ones.
-    *(pytest.param(t, True, id=f"{t}-hybrid_bp") for t in ("T4", "T2_4", "OURS")),
+    # hybrid_bp sets a backward policy; the layer kind and its counts stay the same.
+    *(pytest.param(t, True, id=f"{t}-hybrid_bp")
+      for t in ("T2", "T3", "T4", "T4_ID", "T2_4", "OURS")),
 ])
 def test_executed_trace_matches_static_counts_for_every_composable_design(neuron_type,
                                                                           hybrid_bp):

@@ -181,7 +181,7 @@ class TestFlopsProfiler:
             quadratic_layer(neuron_type, 3, 4, kernel_size=kernel_size,
                             padding=1 if kernel_size else 0, hybrid_bp=hybrid_bp)
             for hybrid_bp in (False, True))
-        assert type(hybrid) is not type(composed)
+        assert hybrid.recompute and not composed.recompute
         assert (profile_model(hybrid, shape).total_macs
                 == profile_model(composed, shape).total_macs)
 

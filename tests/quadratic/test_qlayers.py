@@ -206,19 +206,21 @@ class TestFactory:
         layer = qua.type1(3, 4, kernel_size=3)
         assert isinstance(layer, QuadraticConv2dT1)
 
-    def test_hybrid_flag_selects_hybrid_class(self):
-        from repro.quadratic import HybridQuadraticConv2d, HybridQuadraticLinear
-
+    def test_hybrid_flag_sets_recompute_on_the_base_class(self):
         conv = qua.quadratic_layer("OURS", 3, 8, kernel_size=3, hybrid_bp=True)
         dense = qua.quadratic_layer("OURS", 16, 8, hybrid_bp=True)
-        assert isinstance(conv, HybridQuadraticConv2d)
-        assert isinstance(dense, HybridQuadraticLinear)
+        assert type(conv) is QuadraticConv2d and conv.recompute
+        assert type(dense) is QuadraticLinear and dense.recompute
+        assert not qua.quadratic_layer("OURS", 3, 8, kernel_size=3).recompute
 
-    def test_hybrid_flag_ignored_for_types_without_symbolic_backward(self):
-        # T2/T3 have no symbolic-backward implementation, so the flag falls back
-        # to the composed layer; T4 and Fan do (see test_hybrid_general.py).
-        layer = qua.quadratic_layer("T2", 3, 8, kernel_size=3, hybrid_bp=True)
-        assert isinstance(layer, QuadraticConv2d)
+    def test_hybrid_flag_reaches_every_composable_type(self):
+        # T2 and T3 take the setting too (all six types: test_hybrid_general.py);
+        # the full-rank T1 convolution is a composed graph with no policy.
+        for neuron_type in ("T2", "T3"):
+            layer = qua.quadratic_layer(neuron_type, 3, 8, kernel_size=3, hybrid_bp=True)
+            assert type(layer) is QuadraticConv2d and layer.recompute
+        full_rank = qua.quadratic_layer("T1", 3, 8, kernel_size=3, hybrid_bp=True)
+        assert not hasattr(full_rank, "recompute")
 
     def test_all_factories_runnable(self):
         x = randn(2, 4, 6, 6)
