@@ -16,12 +16,18 @@ benchmark's declared "better" direction, and fewer than
 fresh checkouts, where ``benchmarks/results/`` starts empty, can never
 fail this gate.
 
+When ``$GITHUB_STEP_SUMMARY`` names a file, the script also appends a
+Markdown trend table to it: one row per gated field, with the latest
+value, the history band, the status and the record's ``armed`` and
+``cpus``.
+
 Exit status: 0 on pass (including insufficient history), 1 on any
 trajectory-relative regression.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from common import (check_against_trajectory, format_trajectory_findings,
@@ -76,23 +82,56 @@ DIRECTIONS = {
 }
 
 
-def check_benchmark(name: str, directions: dict) -> list:
-    """Findings for one benchmark's latest record vs. its prior history."""
+def check_benchmark(name: str, directions: dict) -> tuple:
+    """One benchmark's latest record (``None`` without records) and its
+    findings against the prior history."""
     history = load_trajectory(name)
     if not history:
         print(f"trajectory check [{name}]: no records — skipped")
-        return []
+        return None, []
     latest, prior = history[-1], history[:-1]
     findings = check_against_trajectory(name, latest, directions, history=prior)
     print(format_trajectory_findings(name, findings))
-    return findings
+    return latest, findings
+
+
+def _cell(value) -> str:
+    """A table cell: whole numbers in full (byte counts), others to 4 digits."""
+    if value is None:
+        return "–"
+    if isinstance(value, float):
+        return f"{value:,.0f}" if value.is_integer() else f"{value:.4g}"
+    return str(value)
+
+
+def trend_table(checked: list) -> str:
+    """A Markdown table of every checked field: ``checked`` holds one
+    ``(name, latest record, findings)`` per benchmark with records."""
+    lines = ["### Benchmark trajectory", "",
+             "| bench | field | latest | history median ± tolerance | status "
+             "| history | armed | cpus |",
+             "|---|---|---|---|---|---|---|---|"]
+    for name, latest, findings in checked:
+        for f in findings:
+            band = ("–" if f["median"] is None
+                    else f"{_cell(f['median'])} ± {_cell(f['tolerance'])}")
+            lines.append(f"| {name} | {f['field']} | {_cell(f['value'])} | {band} "
+                         f"| {f['status']} | {f['history']} "
+                         f"| {_cell(latest.get('armed'))} | {_cell(latest.get('cpus'))} |")
+    return "\n".join(lines) + "\n"
 
 
 def main() -> int:
-    regressions = []
+    regressions, checked = [], []
     for name, directions in sorted(DIRECTIONS.items()):
-        regressions.extend(f for f in check_benchmark(name, directions)
-                           if f["status"] == "regression")
+        latest, findings = check_benchmark(name, directions)
+        if latest is not None:
+            checked.append((name, latest, findings))
+        regressions.extend(f for f in findings if f["status"] == "regression")
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        with open(summary, "a") as handle:
+            handle.write(trend_table(checked))
     if regressions:
         print(f"\nFAIL: {len(regressions)} trajectory-relative regression(s):")
         for f in regressions:

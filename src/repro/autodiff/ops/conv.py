@@ -95,6 +95,12 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int, kw: in
 # and at stride 1 each tap copy moves OW·N contiguous floats.  Projection
 # rows come out as (F, OH, OW, N); at batch 1 every one of these layouts is
 # the NCHW one.
+#
+# Eager training keeps that order between layers: a convolution hands its
+# rows on as the NCHW-shaped view ``rows.transpose(3, 0, 1, 2)``, BatchNorm
+# and ReLU keep their input's order (their ufuncs allocate in it), and max
+# pooling allocates in it (:func:`new_image`).  So the next lowering, and the
+# backward's :func:`image_to_rows`, find (C, H, W, N) memory and copy nothing.
 
 def lower_columns(x: np.ndarray, kh: int, kw: int, stride: Tuple[int, int],
                   padding: Tuple[int, int], groups: int,
@@ -128,7 +134,7 @@ def scatter_columns(cols_grad: np.ndarray, x_shape: Tuple[int, int, int, int],
     """Scatter (G, K, OH·OW·N) column gradients back to an (N, C, H, W) image.
 
     The taps add into a zeroed (C, H+2p, W+2p, N) buffer in lowering order,
-    and its interior is transposed back to NCHW once.
+    whose interior is returned as an NCHW-shaped view, uncopied.
     """
     n, c, h, w = x_shape
     sh, sw = stride
@@ -140,7 +146,7 @@ def scatter_columns(cols_grad: np.ndarray, x_shape: Tuple[int, int, int, int],
     for i in range(kh):
         for j in range(kw):
             padded[:, i:i + sh * oh:sh, j:j + sw * ow:sw] += cols[:, i, j]
-    return rows_to_image(padded[:, ph:ph + h, pw:pw + w])
+    return padded[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)
 
 
 def even_spans(size: int, chunks: int) -> List[Tuple[int, int]]:
@@ -155,28 +161,45 @@ def even_spans(size: int, chunks: int) -> List[Tuple[int, int]]:
     return spans
 
 
-def rows_to_image(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Copy (C, H, W, N) rows into an (N, C, H, W) image.
+def rows_to_image(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy (C, H, W, N) rows into the C-contiguous (N, C, H, W) image ``out``.
 
-    The copy runs over N spans of channels, each holding about one sample's
-    share of the array, so a span's strided reads stay in cache while its N
-    rows are written; one whole-array copy took 11.4 ms against 1.6 ms for
-    32×32×32×32 floats on a 2-core VM.  Without ``out`` at batch 1, where the
-    two layouts coincide, the rows are returned as the image, uncopied.
+    The compiled plan's convolutions hand NCHW images on, so they call this;
+    eager ones hand their rows on uncopied.  The copy runs over N spans of
+    channels, each holding about one sample's share of the array, so a
+    span's strided reads stay in cache while its N rows are written; one
+    whole-array copy took 11.4 ms against 1.6 ms for 32×32×32×32 floats on a
+    2-core VM.
     """
     image = rows.transpose(3, 0, 1, 2)
-    if out is None:
-        if image.flags.c_contiguous:
-            return image
-        out = np.empty(image.shape, dtype=rows.dtype)
     for a, b in even_spans(rows.shape[0], rows.shape[3]):
         np.copyto(out[:, a:b], image[:, a:b])
     return out
 
 
 def image_to_rows(image: np.ndarray) -> np.ndarray:
-    """Copy an (N, C, H, W) image into contiguous (C, H, W, N) rows."""
+    """An (N, C, H, W) image as contiguous (C, H, W, N) rows.
+
+    A view when the image already is a batch-innermost view of such rows,
+    otherwise a copy.
+    """
     return np.ascontiguousarray(image.transpose(1, 2, 3, 0))
+
+
+def new_image(shape: Tuple[int, int, int, int], like: np.ndarray, dtype=None,
+              zeroed: bool = False) -> np.ndarray:
+    """A new (N, C, H, W) array of ``shape`` in the memory order of ``like``.
+
+    Stored as (C, H, W, N) rows when ``like``'s batch axis is its innermost
+    (a convolution's output, or anything computed from it element-wise),
+    as NCHW otherwise.  Zero-filled with ``zeroed``.
+    """
+    allocate = np.zeros if zeroed else np.empty
+    dtype = like.dtype if dtype is None else dtype
+    if like.shape[0] > 1 and like.strides[0] < like.strides[3]:
+        n, c, h, w = shape
+        return allocate((c, h, w, n), dtype).transpose(3, 0, 1, 2)
+    return allocate(shape, dtype)
 
 
 def conv2d_rows(x: np.ndarray, w: np.ndarray, stride: Tuple[int, int],
@@ -225,7 +248,9 @@ def window_max(x: np.ndarray, kh: int, kw: int, stride: Tuple[int, int],
     ``out`` is an optional destination of the output shape.  With
     ``with_index`` it also returns the winner index: the first window
     position ``k = i·kw + j`` whose element equals the max (``uint8`` while
-    kh·kw ≤ 256; a NaN window's index is 0).
+    kh·kw ≤ 256; a NaN window's index is 0).  Every array it allocates,
+    padding and output included, takes ``x``'s memory order
+    (:func:`new_image`).
     """
     n, c, h, w = x.shape
     sh, sw = stride
@@ -233,11 +258,13 @@ def window_max(x: np.ndarray, kh: int, kw: int, stride: Tuple[int, int],
     oh = conv_output_size(h, kh, sh, ph)
     ow = conv_output_size(w, kw, sw, pw)
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+        padded = new_image((n, c, h + 2 * ph, w + 2 * pw), x, zeroed=True)
+        padded[:, :, ph:ph + h, pw:pw + w] = x
+        x = padded
     views = [x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
              for i in range(kh) for j in range(kw)]
     if out is None:
-        out = np.empty((n, c, oh, ow), dtype=x.dtype)
+        out = new_image((n, c, oh, ow), x)
     np.copyto(out, views[0])
     if x.dtype.kind == "f" and _holds_both_zeros(x):
         # np.maximum's pick between tied -0.0 and +0.0 is the platform's
@@ -252,9 +279,9 @@ def window_max(x: np.ndarray, kh: int, kw: int, stride: Tuple[int, int],
     if not with_index:
         return out
     # The winner's position is the number of leading elements below the max.
-    below = np.less(views[0], out)
+    below = np.less(views[0], out, out=np.empty_like(out, dtype=bool))
     index = below.astype(np.uint8 if len(views) <= 256 else np.intp)
-    is_less = np.empty(out.shape, dtype=bool)
+    is_less = np.empty_like(below)
     for view in views[1:-1]:
         np.logical_and(below, np.less(view, out, out=is_less), out=below)
         np.add(index, below, out=index)
@@ -274,14 +301,14 @@ class Conv2d(Function):
                 groups: int = 1) -> np.ndarray:
         stride = _pair(stride)
         padding = _pair(padding)
-        out = rows_to_image(conv2d_rows(x, w, stride, padding, groups))
+        rows = conv2d_rows(x, w, stride, padding, groups)
         if b is not None:
-            out += b.reshape(1, w.shape[0], 1, 1)
+            rows += b.reshape(-1, 1, 1, 1)
 
         ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
         ctx.has_bias = b is not None
         ctx.save_for_backward(x, w)
-        return out
+        return rows.transpose(3, 0, 1, 2)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
@@ -299,7 +326,7 @@ class Conv2d(Function):
             cols = lower_columns(x, kh, kw, stride, padding, groups)
             gw = np.matmul(rows, cols.transpose(0, 2, 1)).reshape(f, c_g, kh, kw)
         if ctx.has_bias and len(needs) > 2 and needs[2]:
-            gb = grad.sum(axis=(0, 2, 3))
+            gb = rows.reshape(f, -1).sum(axis=1)
         return gx, gw, gb, None, None, None
 
 
@@ -338,12 +365,14 @@ class MaxPool2d(Function):
         # gets exactly +0.0 (an inf or NaN gradient stays at its winner) and
         # adding into zeros keeps the bits of a dense scatter; overlapping
         # windows add in window order.
-        gx = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad.dtype)
+        # Every array here takes the memory order of the pool's input,
+        # which the winner index kept.
+        gx = new_image((n, c, h + 2 * ph, w + 2 * pw), index, grad.dtype, zeroed=True)
         bits = np.dtype(f"i{grad.itemsize}")
         grad_bits = grad.view(bits)
-        hit = np.empty(index.shape, dtype=bool)
-        mask = np.empty(index.shape, dtype=bits)
-        routed = np.empty(index.shape, dtype=bits)
+        hit = np.empty_like(index, dtype=bool)
+        mask = np.empty_like(index, dtype=bits)
+        routed = np.empty_like(index, dtype=bits)
         for k in range(kh * kw):
             i, j = divmod(k, kw)
             np.equal(index, k, out=hit)

@@ -8,11 +8,16 @@ from ..function import Context, Function, unbroadcast
 
 
 class MatMul(Function):
-    """``out = a @ b`` supporting 1-D, 2-D and batched operands (NumPy semantics)."""
+    """``out = a @ b`` supporting 1-D, 2-D and batched operands (NumPy semantics).
+
+    The left operand is made C-contiguous first: a flattened batch-innermost
+    activation is a transposed view, which BLAS may round differently from
+    the C-contiguous one the compiled GEMM reads.
+    """
 
     @staticmethod
     def forward(ctx: Context, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.asarray(a), np.asarray(b)
+        a, b = np.ascontiguousarray(a), np.asarray(b)
         ctx.save_for_backward(a, b)
         return a @ b
 

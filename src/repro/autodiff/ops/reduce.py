@@ -48,7 +48,12 @@ class Sum(Function):
 
 
 class Mean(Function):
-    """``out = a.mean(axis, keepdims)``."""
+    """``out = a.mean(axis, keepdims)``.
+
+    The sum runs over C-contiguous memory, so its bits do not depend on the
+    order ``a`` arrived in: a global pool over a convolution's batch-innermost
+    output sums H×W as the compiled plan's NCHW step does.
+    """
 
     @staticmethod
     def forward(ctx: Context, a: np.ndarray, axis: Axis = None, keepdims: bool = False) -> np.ndarray:
@@ -59,7 +64,7 @@ class Mean(Function):
             ctx.count = a.size
         else:
             ctx.count = int(np.prod([a.shape[i] for i in ctx.axis]))
-        return a.mean(axis=ctx.axis, keepdims=keepdims)
+        return np.ascontiguousarray(a).mean(axis=ctx.axis, keepdims=keepdims)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):

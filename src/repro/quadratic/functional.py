@@ -229,8 +229,9 @@ def combine_rows(neuron_type: str, responses, out: np.ndarray, ops=np,
     then copies into ``out`` one channel span at a time.  At batch 1 the
     two layouts coincide and the combiner writes straight into ``out``.
     Every fused combiner may write over its first response, so a caller
-    whose responses are scratch can pass that one as ``scratch``.  Eager
-    and compiled convolutions both call this.
+    whose responses are scratch can pass that one as ``scratch``.  The
+    compiled quadratic convolution calls this; the eager node runs the same
+    combiner on the same rows and hands them on uncopied.
     """
     combiner = FUSED_COMBINERS[neuron_type]
     image = out.transpose(1, 2, 3, 0)

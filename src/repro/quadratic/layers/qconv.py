@@ -28,7 +28,8 @@ from ...autodiff.tensor import Tensor
 from ...nn import functional as F
 from ...nn import init
 from ...nn.parameter import Parameter
-from ..functional import COMBINE_BACKWARDS, COMBINE_READS, REQUIRED_RESPONSES, combine_rows
+from ..functional import (COMBINE_BACKWARDS, COMBINE_READS, FUSED_COMBINERS,
+                          REQUIRED_RESPONSES)
 from .base import QuadraticLayerBase
 
 IntOrPair = Union[int, Tuple[int, int]]
@@ -50,17 +51,20 @@ class QuadraticConv2dFunction(Function):
 
     Forward runs each projection through :func:`conv2d_rows` — the
     arithmetic of ``Conv2d.forward`` — into batch-innermost (F, OH, OW, N)
-    responses, and combines them into the NCHW output with
-    :func:`~repro.quadratic.functional.combine_rows`, as the compiled step
-    does, so its output is bit-identical to the composed graph and to the
-    compiled plan.  It saves ``x``, the weights and the responses the
+    responses, combines them with the type's ``FUSED_COMBINERS`` entry and
+    adds the bias, as the compiled step does, so its output is bit-identical
+    to the composed graph and to the compiled plan.  The combined rows are
+    returned as the NCHW-shaped view ``rows.transpose(3, 0, 1, 2)``,
+    uncopied.  It saves ``x``, the weights and the responses the
     combination's backward reads (``COMBINE_READS``); with ``recompute``
     (hybrid back-propagation) only ``x`` and the weights, and backward
     recomputes those responses with the forward's own GEMM.
 
     Backward lowers ``x`` once through :func:`lower_columns`, as
-    ``Conv2d.backward`` does.  ``COMBINE_BACKWARDS`` writes every response
-    gradient straight into the stacked GEMM rows; the weight gradients of the
+    ``Conv2d.backward`` does, and reads the output gradient as rows through
+    :func:`image_to_rows`, which copies nothing when the gradient arrives
+    batch-innermost.  ``COMBINE_BACKWARDS`` writes every response gradient
+    straight into the stacked GEMM rows; the weight gradients of the
     projections that share a lowering come from one GEMM over those rows, and
     their contribution to the input gradient from one GEMM over their stacked
     weights.  The squared-input projection reads ``cols²`` (``im2col(x²) ==
@@ -79,16 +83,14 @@ class QuadraticConv2dFunction(Function):
         for kind, weight in zip(kinds, weights):
             source = x * x if kind == "sq" else x
             responses[kind] = conv2d_rows(source, weight, stride, padding, groups)
-        f, oh, ow, n = responses[kinds[0]].shape
-        out = np.empty((n, f, oh, ow), dtype=x.dtype)
-        combine_rows(neuron_type, [responses[kind] for kind in required], out)
+        rows = FUSED_COMBINERS[neuron_type](*(responses[kind] for kind in required))
         if bias is not None:
-            out += bias.reshape(1, -1, 1, 1)
+            rows += bias.reshape(-1, 1, 1, 1)
         ctx.neuron_type, ctx.kinds, ctx.recompute = neuron_type, kinds, recompute
         ctx.stride, ctx.padding, ctx.groups = stride, padding, groups
         reads = () if recompute else [responses[kind] for kind in COMBINE_READS[neuron_type]]
         ctx.save_for_backward(x, *weights, *reads)
-        return out
+        return rows.transpose(3, 0, 1, 2)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
@@ -141,7 +143,7 @@ class QuadraticConv2dFunction(Function):
             gx = scatter_columns(cols_grad, x.shape, kh, kw, ctx.stride, ctx.padding)
             if "id" in required:
                 gx += grad
-        gbias = grad.sum(axis=(0, 2, 3)) if needs[-1] else None
+        gbias = rows_grad.reshape(f, -1).sum(axis=1) if needs[-1] else None
         return (gx, *(weight_grads.get(kind) for kind in kinds), gbias)
 
 

@@ -65,11 +65,13 @@ class QuadraticLinearFunction(Function):
     none), in that order, then the bias or ``None``; ``x`` may have any
     number of leading dimensions.
 
-    Forward is :func:`quadratic_linear_rows` over ``x.reshape(-1, in)``.  It
-    saves ``x``, the weights and the responses the combination's backward
-    reads (``COMBINE_READS``); with ``recompute`` (hybrid back-propagation)
-    only ``x`` and the weights, and backward recomputes those responses with
-    the forward's own GEMM.
+    Forward is :func:`quadratic_linear_rows` over ``x.reshape(-1, in)`` of a
+    C-contiguous ``x`` (a flattened batch-innermost activation is a
+    transposed view, which BLAS may round differently from the compiled
+    step's C-contiguous rows).  It saves that ``x``, the weights and the
+    responses the combination's backward reads (``COMBINE_READS``); with
+    ``recompute`` (hybrid back-propagation) only ``x`` and the weights, and
+    backward recomputes those responses with the forward's own GEMM.
 
     Backward mirrors the convolution node's: ``COMBINE_BACKWARDS`` writes
     every response gradient into stacked (M, P·F) rows; the weight gradients
@@ -84,6 +86,7 @@ class QuadraticLinearFunction(Function):
                 recompute: bool) -> np.ndarray:
         kinds = tuple(kind for kind in REQUIRED_RESPONSES[neuron_type] if kind != "id")
         weights, bias = params[:-1], params[-1]
+        x = np.ascontiguousarray(x)
         out, responses = quadratic_linear_rows(
             neuron_type, x.reshape(-1, x.shape[-1]),
             {kind: weight.T for kind, weight in zip(kinds, weights)}, bias)
@@ -216,10 +219,13 @@ class QuadraticLinear(QuadraticLayerBase):
         if kind == "sq":
             return F.linear(x * x, self.weight_sq)
         if kind == "bilinear":
-            # Xᵀ Wa X per output unit: contract once with einsum, then with a
-            # Hadamard product + sum so only two-operand primitives are needed.
-            partial = _einsum("oij,nj->noi", self.weight_bilinear, x)
-            return (partial * x.unsqueeze(1)).sum(axis=-1)
+            # Xᵀ Wa X per output unit over (M, in) rows, as the composable
+            # node runs: contract once with einsum, then with a Hadamard
+            # product + sum so only two-operand primitives are needed.
+            rows = x.reshape(-1, self.in_features)
+            partial = _einsum("oij,nj->noi", self.weight_bilinear, rows)
+            out = (partial * rows.unsqueeze(1)).sum(axis=-1)
+            return out.reshape(x.shape[:-1] + (self.out_features,))
         raise KeyError(f"unknown projection kind '{kind}'")
 
     def post_combine(self, out: Tensor) -> Tensor:

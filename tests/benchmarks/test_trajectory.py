@@ -31,8 +31,13 @@ from common import (MIN_TRAJECTORY_HISTORY, TRAJECTORY_REL_FLOOR,  # noqa: E402
 
 @pytest.fixture()
 def results_dir(tmp_path, monkeypatch):
-    """Point every trajectory helper at a throwaway results directory."""
+    """Point every trajectory helper at a throwaway results directory.
+
+    The gate script's trend table goes to ``$GITHUB_STEP_SUMMARY``, which a
+    CI job sets; the tests unset it so they never write to the job's page.
+    """
     monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+    monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
     return tmp_path
 
 
@@ -237,6 +242,47 @@ class TestGateScript:
         assert check_trajectory.main() == 1
         out = capsys.readouterr().out
         assert "FAIL: 1 " in out and "default_peak_bytes" in out
+
+    def test_gate_appends_a_trend_table_to_the_step_summary(self, results_dir, monkeypatch,
+                                                            capsys):
+        summary = results_dir / "summary.md"
+        summary.write_text("earlier step\n")
+        monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
+        for p99 in (10.0, 10.4, 9.8, 10.1):
+            append_trajectory("serving_scaleout", {"open_loop_p99_ms": p99, "cpus": 4,
+                                                   "armed": True})
+        append_trajectory("serving_scaleout", {"open_loop_p99_ms": 20.5, "cpus": 4,
+                                               "armed": True})
+        assert check_trajectory.main() == 1
+        lines = summary.read_text().splitlines()
+        assert lines[0] == "earlier step"                      # appended, not replaced
+        header = lines.index("| bench | field | latest | history median ± tolerance "
+                             "| status | history | armed | cpus |")
+        rows = [line for line in lines[header + 2:] if line.startswith("|")]
+        # One row per gated field of the bench with records.
+        assert len(rows) == len(check_trajectory.DIRECTIONS["serving_scaleout"])
+        median, tolerance = trajectory_band([10.0, 10.4, 9.8, 10.1])
+        p99_row = next(row for row in rows if "| open_loop_p99_ms |" in row)
+        assert p99_row == (f"| serving_scaleout | open_loop_p99_ms | 20.5 | {median:.4g} ± "
+                           f"{tolerance:.4g} | regression | 4 | True | 4 |")
+        missing_row = next(row for row in rows if "| baseline_samples_per_s |" in row)
+        assert "| missing | 0 | True | 4 |" in missing_row
+
+    def test_trend_table_prints_byte_counts_in_full(self, results_dir, monkeypatch, capsys):
+        summary = results_dir / "summary.md"
+        monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
+        record = {"default_peak_bytes": 25_555_136, "hybrid_peak_bytes": 11_923_648,
+                  "armed": True, "cpus": 2}
+        for _ in range(4):
+            append_trajectory("fig8_hybrid_bp", record)
+        assert check_trajectory.main() == 0
+        assert ("| fig8_hybrid_bp | default_peak_bytes | 25,555,136 | 25,555,136 ± 0 | ok "
+                "| 3 | True | 2 |") in summary.read_text().splitlines()
+
+    def test_gate_writes_no_table_without_a_step_summary(self, results_dir, capsys):
+        self.seed([10.0, 10.4, 9.8, 10.1], latest=10.2)
+        assert check_trajectory.main() == 0
+        assert [p.name for p in results_dir.iterdir()] == ["trajectory.jsonl"]
 
     def test_gate_passes_a_fresh_checkout_with_no_history(self, results_dir, capsys):
         assert check_trajectory.main() == 0

@@ -210,9 +210,7 @@ class TestModelCompilation:
         model = ModelSpec(name="resnet8", neuron_type="first_order", num_classes=4,
                           width_multiplier=0.25).build()
         x = (0.1 * RNG.standard_normal((2, 3, 16, 16))).astype(np.float32)
-        # Residual reductions reduce in a different memory order than eager's
-        # (non-contiguous) intermediate, so allow float32-level noise.
-        compiled = assert_compiled_matches(model, x, atol=1e-5, rtol=1e-4)
+        compiled = assert_compiled_matches(model, x)
         assert not compiled.fallback_modules
 
     def test_hooked_module_falls_back_so_hooks_still_fire(self):

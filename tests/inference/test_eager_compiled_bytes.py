@@ -15,6 +15,12 @@ batch size and with extra leading dimensions.
 
 ReLU is pinned the same way on the values whose sign of zero a platform's
 ``maximum`` could pick.
+
+Eager convolutions hand their batch-innermost rows on uncopied, while the
+compiled plan copies to NCHW at batch > 1; every registered image model, in
+evaluation mode, must still give the compiled plan's bytes.  That holds only
+where a reduction or GEMM reads memory in the compiled order: the global
+pool's mean and the classifier's left operand.
 """
 
 from __future__ import annotations
@@ -27,8 +33,11 @@ import pytest
 from repro import nn
 from repro.autodiff import Tensor
 from repro.backends import ThreadedBackend
+from repro.experiment import ModelSpec
+from repro.experiment.registry import MODELS
 from repro.inference import compile_model
 from repro.quadratic import QuadraticConv2d, QuadraticLinear
+from repro.utils import seed_everything
 
 COMPOSABLE_TYPES = ["T2", "T3", "T4", "T4_ID", "T2_4", "OURS"]
 QUADRATIC = [*COMPOSABLE_TYPES, *(f"{name}-hybrid" for name in COMPOSABLE_TYPES)]
@@ -78,6 +87,22 @@ def assert_compiled_equals_eager(model, x):
         out = compiled(x)
         assert out.shape == eager.shape and out.dtype == eager.dtype
         assert out.tobytes() == eager.tobytes(), f"{compiled.backend_name} differs"
+
+
+IMAGE_MODELS = [name for name in MODELS.names() if name != "mlp"]
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("neuron_type", ["first_order", "OURS"])
+@pytest.mark.parametrize("name", IMAGE_MODELS)
+def test_zoo_model_in_eval_mode_equals_compiled_in_bytes(name, neuron_type, batch):
+    seed_everything(0)
+    model = ModelSpec(name=name, neuron_type=neuron_type, num_classes=4,
+                      width_multiplier=0.25).build()
+    model.eval()
+    x = (0.1 * np.random.default_rng(batch).standard_normal((batch, 3, 32, 32))
+         ).astype(np.float32)
+    assert_compiled_equals_eager(model, x)
 
 
 @pytest.mark.parametrize("shape", [(1, 32), (2, 32), (7, 32), (32, 32), (2, 3, 32)],

@@ -17,11 +17,13 @@ import itertools
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.autodiff import Tensor
 from repro.autodiff.ops import conv as conv_ops
 from repro.nn import functional as F
 from repro.profiler import MemoryTracker
 from repro.quadratic import QuadraticConv2d
+from repro.quadratic import functional as quadratic_functional
 from repro.quadratic.functional import COMBINE_READS, COMBINERS
 from repro.quadratic.layers import qconv
 
@@ -185,3 +187,46 @@ def test_backward_lowers_once_and_scatters_once(lowering_counts, neuron_type, po
                                "scatter_columns": 1 if x_requires_grad else 0}
     assert (x.grad is not None) == x_requires_grad
     assert all(p.grad is not None for p in layer.parameters())
+
+
+def test_a_training_chain_makes_no_copy_between_images_and_rows(monkeypatch):
+    """Conv → BatchNorm → ReLU → MaxPool → conv keeps the batch-innermost order.
+
+    Each convolution hands its (F, OH, OW, N) rows on as an NCHW-shaped view,
+    the layers between keep that memory order, and each backward reads its
+    incoming gradient as rows without a copy.
+    """
+    calls = {"rows_to_image": 0}
+    real_rows_to_image = conv_ops.rows_to_image
+
+    def counted(*args, **kwargs):
+        calls["rows_to_image"] += 1
+        return real_rows_to_image(*args, **kwargs)
+
+    monkeypatch.setattr(conv_ops, "rows_to_image", counted)
+    monkeypatch.setattr(quadratic_functional, "rows_to_image", counted)
+    shared = []
+    real_image_to_rows = conv_ops.image_to_rows
+
+    def watched(image):
+        rows = real_image_to_rows(image)
+        shared.append(np.shares_memory(rows, image))
+        return rows
+
+    monkeypatch.setattr(conv_ops, "image_to_rows", watched)
+    monkeypatch.setattr(qconv, "image_to_rows", watched)
+
+    model = nn.Sequential(QuadraticConv2d(4, 6, 3, padding=1), nn.BatchNorm2d(6), nn.ReLU(),
+                          nn.MaxPool2d(2), QuadraticConv2d(6, 6, 3, padding=1))
+    x = Tensor(np.random.default_rng(6).standard_normal((4, 4, 8, 8)).astype(np.float32),
+               requires_grad=True)
+    out = model(x)
+    assert calls == {"rows_to_image": 0}
+    # The upstream gradient arrives batch-innermost, as a following
+    # convolution's scatter hands it on.
+    n, c, h, w = out.shape
+    upstream = np.random.default_rng(7).standard_normal((c, h, w, n)).astype(np.float32)
+    out.backward(upstream.transpose(3, 0, 1, 2))
+    assert calls == {"rows_to_image": 0}
+    assert shared == [True, True]
+    assert x.grad is not None and all(p.grad is not None for p in model.parameters())

@@ -84,12 +84,18 @@ class TestQuadraticLinearForward:
         with pytest.raises(ValueError):
             QuadraticLinear(4, 8, neuron_type="T4_ID")
 
+    @pytest.mark.parametrize("shape", [(3, 8), (2, 3, 8)], ids=["3x8", "2x3x8"])
     @pytest.mark.parametrize("neuron_type", ALL_LINEAR_TYPES)
-    def test_all_types_gradients_flow(self, neuron_type):
-        layer = QuadraticLinear(6, 6, neuron_type=neuron_type)
-        x = randn(3, 6, requires_grad=True)
-        layer(x).sum().backward()
-        assert x.grad is not None and np.isfinite(x.grad).all()
+    def test_all_types_gradients_flow(self, neuron_type, shape):
+        """Leading dimensions run as rows: the output is the layer over ``x.reshape(-1, in)``."""
+        layer = QuadraticLinear(8, 8, neuron_type=neuron_type)
+        x = randn(*shape, requires_grad=True)
+        out = layer(x)
+        assert out.shape == shape[:-1] + (8,)
+        rows = layer(Tensor(x.data.reshape(-1, 8))).data
+        np.testing.assert_allclose(out.data.reshape(-1, 8), rows, rtol=1e-5, atol=1e-5)
+        out.sum().backward()
+        assert x.grad is not None and x.grad.shape == shape and np.isfinite(x.grad).all()
         for _, param in layer.named_parameters():
             assert param.grad is not None and np.isfinite(param.grad).all()
 
